@@ -12,6 +12,7 @@ from .core import (
     Setting,
     Variant,
     Vertex,
+    check_leader_action,
     evaluate,
     intervals_pairwise_disjoint,
     is_independent,
@@ -44,6 +45,7 @@ from .brute import (
     decide_vc_brute,
 )
 from .bis_solvers import (
+    solve,
     solve_cb_db_o,
     solve_cs_db_o_bipartite,
     solve_cs_db_p_bipartite,

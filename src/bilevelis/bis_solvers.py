@@ -3,6 +3,7 @@
 Three polynomial algorithms cover the tractable variants; a
 leader-enumeration solver handles the rest wherever a follower oracle is
 available, paying exponential time only in the number of leader vertices.
+``solve`` is the one place that picks among them.
 A certificate verifier mirrors the decision-problem check: recompute the
 follower's reaction to a claimed leader action and compare values.
 """
@@ -14,19 +15,18 @@ from typing import Iterable
 from .core import (
     BilevelOutcome,
     BisGraph,
-    CompositeWeight,
     Objective,
     Owner,
     Setting,
     Variant,
+    check_leader_action,
     evaluate,
-    is_independent,
     make_outcome,
 )
-from .errors import Infeasible, OracleUnavailable, UnknownId
+from .errors import Infeasible, NotBipartite, OracleUnavailable
 from .brute import brute_follower
 from .follower import react, react_bottleneck
-from .single_level import bipartition, mwis_bipartite
+from .single_level import bipartition, mwis_by_owner
 
 _CB_DB_O = Variant(Objective.BOTTLENECK, Objective.BOTTLENECK, Setting.OPTIMISTIC)
 _CS_DB_O = Variant(Objective.SUM, Objective.BOTTLENECK, Setting.OPTIMISTIC)
@@ -47,14 +47,6 @@ def solve_cb_db_o(graph: BisGraph) -> BilevelOutcome:
         reaction = react_bottleneck(graph, frozenset(), _CB_DB_O)
         candidates.append(make_outcome(graph, _CB_DB_O, frozenset(), reaction))
     return max(candidates, key=lambda o: o.leader_value)
-
-
-def _max_wl_mwis(
-    graph: BisGraph, pool: Iterable[int], require_nonempty: bool = False
-) -> tuple[int, frozenset[int]]:
-    weights = {v: CompositeWeight(graph.item(v).wl, 0) for v in pool}
-    value, chosen = mwis_bipartite(graph, weights, pool, require_nonempty)
-    return value.primary, chosen
 
 
 def solve_cs_db_o_bipartite(graph: BisGraph) -> BilevelOutcome:
@@ -85,7 +77,7 @@ def solve_cs_db_o_bipartite(graph: BisGraph) -> BilevelOutcome:
             for v in graph.ids
             if v not in closed and graph.item(v).wf >= floor
         ]
-        value, chosen = _max_wl_mwis(graph, pool)
+        value, chosen = mwis_by_owner(graph, pool, Owner.LEADER)
         value += graph.item(pivot).wl
         if best_value is None or value > best_value:
             best_value = value
@@ -107,7 +99,9 @@ def solve_cs_db_p_bipartite(graph: BisGraph) -> BilevelOutcome:
     bipartition(graph)
     candidates: list[BilevelOutcome] = []
     if graph.leader_ids:
-        _, chosen = _max_wl_mwis(graph, graph.leader_ids, require_nonempty=True)
+        _, chosen = mwis_by_owner(
+            graph, graph.leader_ids, Owner.LEADER, require_nonempty=True
+        )
         candidates.append(make_outcome(graph, _CS_DB_P, chosen, frozenset()))
     if graph.follower_ids:
         reaction = react_bottleneck(graph, frozenset(), _CS_DB_P)
@@ -168,6 +162,23 @@ def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
     return make_outcome(graph, variant, best[1], best[2])
 
 
+def solve(graph: BisGraph, variant: Variant) -> BilevelOutcome:
+    """Exact optimum from the cheapest solver that applies: ``cb-db-o`` on
+    any graph, ``cs-db-o`` and ``cs-db-p`` on bipartite graphs, leader
+    enumeration for everything else (those two variants included when the
+    graph is not two-colorable)."""
+    if variant == _CB_DB_O:
+        return solve_cb_db_o(graph)
+    try:
+        if variant == _CS_DB_O:
+            return solve_cs_db_o_bipartite(graph)
+        if variant == _CS_DB_P:
+            return solve_cs_db_p_bipartite(graph)
+    except NotBipartite:
+        pass
+    return solve_enum_leader(graph, variant)
+
+
 def verify_certificate(
     graph: BisGraph,
     variant: Variant,
@@ -178,12 +189,9 @@ def verify_certificate(
     optimal reaction and test whether the leader's value reaches the
     claim.  Infeasible or malformed actions verify as False."""
     lset = frozenset(leader_set)
-    for vid in lset:
-        if not (0 <= vid < len(graph.vertices)):
-            raise UnknownId(f"no vertex with id {vid}")
-        if graph.item(vid).owner is not Owner.LEADER:
-            return False
-    if not is_independent(graph, lset):
+    try:
+        check_leader_action(graph, lset)
+    except ValueError:
         return False
     try:
         reaction = _oracle_reaction(graph, lset, variant)

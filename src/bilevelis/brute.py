@@ -22,8 +22,7 @@ from .core import (
     Owner,
     Setting,
     Variant,
-    intervals_pairwise_disjoint,
-    is_independent,
+    check_leader_action,
     make_outcome,
 )
 from .errors import CapExceeded, Infeasible, UnknownId
@@ -157,23 +156,6 @@ def _best_reaction(
     return best[0]
 
 
-def _check_leader_action(
-    instance: Instance, ground: _Ground, leader_set: frozenset[int]
-) -> int:
-    mask = ground.mask_of(leader_set)
-    for iid in leader_set:
-        if instance.item(iid).owner is not Owner.LEADER:
-            raise ValueError(f"item {iid} is not leader-owned")
-    feasible = (
-        is_independent(instance, leader_set)
-        if isinstance(instance, BisGraph)
-        else intervals_pairwise_disjoint(instance, leader_set)
-    )
-    if not feasible:
-        raise ValueError("leader action is not feasible on its own")
-    return mask
-
-
 def brute_follower(
     instance: Instance,
     leader_set: Iterable[int],
@@ -191,8 +173,9 @@ def brute_follower(
     n_follow = len(instance.follower_ids)
     if n_follow > cap:
         raise CapExceeded(f"{n_follow} follower items exceed cap {cap}")
+    check_leader_action(instance, lset)
     ground = _Ground.build(instance)
-    lmask = _check_leader_action(instance, ground, lset)
+    lmask = ground.mask_of(lset)
     nonempty = isinstance(instance, BisGraph)
     best = _best_reaction(ground, lmask, variant, require_nonempty=nonempty)
     if best is None:
@@ -215,6 +198,31 @@ def _enumerate_leader(ground: _Ground):
     yield from extend(0, 0)
 
 
+def _optimum(
+    instance: Instance, variant: Variant, require_nonempty: bool
+) -> BilevelOutcome:
+    """Best leader value over every leader action answered by its
+    follower-optimal reaction; ties go to the smallest (leader ids,
+    follower ids) pair."""
+    ground = _Ground.build(instance)
+    best = None  # (c, d, leader ids, follower ids)
+    for lmask in _enumerate_leader(ground):
+        reaction = _best_reaction(ground, lmask, variant, require_nonempty)
+        if reaction is None:
+            continue
+        d_val, c_val, fmask = reaction
+        cand = (c_val, d_val, ground.ids_of(lmask), ground.ids_of(fmask))
+        if (
+            best is None
+            or cand[0] > best[0]
+            or (cand[0] == best[0] and cand[2:] < best[2:])
+        ):
+            best = cand
+    if best is None:
+        raise Infeasible("no feasible leader/follower pair exists")
+    return make_outcome(instance, variant, best[2], best[3])
+
+
 def brute_force(
     graph: BisGraph,
     variant: Variant,
@@ -230,25 +238,7 @@ def brute_force(
     """
     if len(graph) > cap:
         raise CapExceeded(f"{len(graph)} vertices exceed cap {cap}")
-    ground = _Ground.build(graph)
-    best = None  # (c, d, leader ids, follower ids)
-    for lmask in _enumerate_leader(ground):
-        reaction = _best_reaction(
-            ground, lmask, variant, require_nonempty=require_union_nonempty
-        )
-        if reaction is None:
-            continue
-        d_val, c_val, fmask = reaction
-        cand = (c_val, d_val, ground.ids_of(lmask), ground.ids_of(fmask))
-        if (
-            best is None
-            or cand[0] > best[0]
-            or (cand[0] == best[0] and cand[2:] < best[2:])
-        ):
-            best = cand
-    if best is None:
-        raise Infeasible("no feasible leader/follower pair exists")
-    return make_outcome(graph, variant, best[2], best[3])
+    return _optimum(graph, variant, require_union_nonempty)
 
 
 def brute_bisel(
@@ -259,19 +249,7 @@ def brute_bisel(
     if len(instance) > cap:
         raise CapExceeded(f"{len(instance)} intervals exceed cap {cap}")
     variant = Variant(Objective.SUM, Objective.SUM, setting)
-    ground = _Ground.build(instance)
-    best = None
-    for lmask in _enumerate_leader(ground):
-        reaction = _best_reaction(ground, lmask, variant, require_nonempty=False)
-        d_val, c_val, fmask = reaction
-        cand = (c_val, d_val, ground.ids_of(lmask), ground.ids_of(fmask))
-        if (
-            best is None
-            or cand[0] > best[0]
-            or (cand[0] == best[0] and cand[2:] < best[2:])
-        ):
-            best = cand
-    return make_outcome(instance, variant, best[2], best[3])
+    return _optimum(instance, variant, require_nonempty=False)
 
 
 def decide_vc_brute(

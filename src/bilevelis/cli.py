@@ -10,14 +10,8 @@ import argparse
 import json
 import sys
 
-from .bis_solvers import (
-    solve_cb_db_o,
-    solve_cs_db_o_bipartite,
-    solve_cs_db_p_bipartite,
-    solve_enum_leader,
-    verify_certificate,
-)
-from .brute import brute_bisel, brute_follower, brute_force
+from .bis_solvers import solve, verify_certificate
+from .brute import BISEL_CAP, FORCE_CAP, brute_bisel, brute_follower, brute_force
 from .core import BisGraph, IntervalInstance, Setting, Variant, make_outcome
 from .errors import CapExceeded, Infeasible, SolverError
 from .follower import react
@@ -40,7 +34,6 @@ from .serialize import (
     outcome_to_dict,
     save,
 )
-from .single_level import is_bipartite
 
 _SETTINGS = {"o": Setting.OPTIMISTIC, "p": Setting.PESSIMISTIC}
 
@@ -76,16 +69,7 @@ def _parse_ids(text: str) -> frozenset[int]:
 
 
 def _cmd_solve(args) -> int:
-    graph = _load_graph(args.input)
-    variant = Variant.from_code(args.variant)
-    if variant.code == "cb-db-o":
-        outcome = solve_cb_db_o(graph)
-    elif variant.code == "cs-db-o" and is_bipartite(graph):
-        outcome = solve_cs_db_o_bipartite(graph)
-    elif variant.code == "cs-db-p" and is_bipartite(graph):
-        outcome = solve_cs_db_p_bipartite(graph)
-    else:
-        outcome = solve_enum_leader(graph, variant)
+    outcome = solve(_load_graph(args.input), Variant.from_code(args.variant))
     _emit(outcome_to_dict(outcome), args.output)
     return 0
 
@@ -111,10 +95,9 @@ def _cmd_brute(args) -> int:
     graph = _load_graph(args.input)
     variant = Variant.from_code(args.variant)
     if args.leader is not None:
-        reaction = brute_follower(
-            graph, _parse_ids(args.leader), variant, cap=args.cap
-        )
-        outcome = make_outcome(graph, variant, _parse_ids(args.leader), reaction)
+        leader_set = _parse_ids(args.leader)
+        reaction = brute_follower(graph, leader_set, variant, cap=args.cap)
+        outcome = make_outcome(graph, variant, leader_set, reaction)
     else:
         outcome = brute_force(graph, variant, cap=args.cap)
     _emit(outcome_to_dict(outcome), args.output)
@@ -218,12 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact solve of a graph instance")
     p.add_argument("--variant", required=True, help="{cs|cb}-{ds|db}-{o|p}")
     add_common(p)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="upper bound on worker parallelism (execution may use fewer)",
-    )
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("solve-intervals", help="interval dynamic program")
@@ -240,13 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("brute", help="exhaustive graph oracle")
     p.add_argument("--variant", required=True)
     p.add_argument("--leader", help="if given, only the follower reaction is enumerated")
-    p.add_argument("--cap", type=int, default=16)
+    p.add_argument("--cap", type=int, default=FORCE_CAP)
     add_common(p)
     p.set_defaults(func=_cmd_brute)
 
     p = sub.add_parser("brute-intervals", help="exhaustive interval oracle")
     p.add_argument("--setting", required=True, choices=["o", "p"])
-    p.add_argument("--cap", type=int, default=20)
+    p.add_argument("--cap", type=int, default=BISEL_CAP)
     add_common(p)
     p.set_defaults(func=_cmd_brute_intervals)
 

@@ -292,11 +292,16 @@ def evaluate(
 
 
 def is_independent(graph: BisGraph, selection: Iterable[int]) -> bool:
-    """True iff no edge of the graph has both endpoints in the selection."""
+    """True iff no two selected vertices are adjacent."""
     chosen = set(selection)
-    for vid in chosen:
-        graph.item(vid)
-    return not any(u in chosen and v in chosen for u, v in graph.edges)
+    adjacency = graph.adjacency
+    if not chosen <= adjacency.keys():
+        for vid in chosen:
+            graph.item(vid)  # raises UnknownId for the id that is no vertex
+    for v in chosen:
+        if not adjacency[v].isdisjoint(chosen):
+            return False
+    return True
 
 
 def intervals_pairwise_disjoint(
@@ -313,6 +318,21 @@ def intervals_pairwise_disjoint(
             return False
         reach = iv.end if reach is None else max(reach, iv.end)
     return True
+
+
+def check_leader_action(instance: Instance, leader_set: frozenset[int]) -> None:
+    """Reject a leader action that names a non-leader item or is not
+    feasible on its own (not independent on a graph, overlapping on
+    intervals) with ``ValueError``; an unknown id raises ``UnknownId``."""
+    for item in [instance.item(iid) for iid in leader_set]:
+        if item.owner is not Owner.LEADER:
+            raise ValueError(f"item {item.id} is not leader-owned")
+    if isinstance(instance, BisGraph):
+        feasible = is_independent(instance, leader_set)
+    else:
+        feasible = intervals_pairwise_disjoint(instance, leader_set)
+    if not feasible:
+        raise ValueError("leader action is not feasible on its own")
 
 
 def to_interval_graph(instance: IntervalInstance) -> BisGraph:

@@ -19,9 +19,10 @@ from .core import (
     Owner,
     Setting,
     Variant,
+    check_leader_action,
 )
 from .errors import Infeasible, NotBipartite, OracleUnavailable
-from .single_level import frank_dp, mwis_bipartite
+from .single_level import frank_dp, mwis_bipartite, mwis_by_owner
 
 
 def perturb(
@@ -42,13 +43,6 @@ def perturb(
     return {it.id: CompositeWeight(it.wf, sign * it.wl) for it in items}
 
 
-def _check_leader_action(instance: Instance, leader_set: frozenset[int]) -> None:
-    for iid in leader_set:
-        item = instance.item(iid)
-        if item.owner is not Owner.LEADER:
-            raise ValueError(f"item {iid} is not leader-owned")
-
-
 def react_intervals(
     instance: IntervalInstance, leader_set: Iterable[int], setting: Setting
 ) -> frozenset[int]:
@@ -59,7 +53,7 @@ def react_intervals(
     nonemptiness constraint.
     """
     lset = frozenset(leader_set)
-    _check_leader_action(instance, lset)
+    check_leader_action(instance, lset)
     taken = [instance.by_id[i] for i in lset]
     free = [
         iv.id
@@ -79,10 +73,7 @@ def _free_follower_vertices(
 
 
 def react_sum_graph(
-    graph: BisGraph,
-    leader_set: Iterable[int],
-    setting: Setting,
-    require_nonempty: bool | None = None,
+    graph: BisGraph, leader_set: Iterable[int], setting: Setting
 ) -> frozenset[int]:
     """Sum-objective follower on a graph: perturbed max-weight independent
     set over the follower vertices not adjacent to the leader's action.
@@ -92,9 +83,8 @@ def react_sum_graph(
     nonempty (infeasible if the graph has no follower vertices at all).
     """
     lset = frozenset(leader_set)
-    _check_leader_action(graph, lset)
-    if require_nonempty is None:
-        require_nonempty = not lset
+    check_leader_action(graph, lset)
+    require_nonempty = not lset
     if not lset and not graph.follower_ids:
         raise Infeasible("empty leader action with no follower vertices")
     free = _free_follower_vertices(graph, lset)
@@ -145,7 +135,7 @@ def react_bottleneck(
     if variant.follower_obj is not Objective.BOTTLENECK:
         raise ValueError("react_bottleneck requires a bottleneck follower objective")
     lset = frozenset(leader_set)
-    _check_leader_action(graph, lset)
+    check_leader_action(graph, lset)
     optimistic = variant.setting is Setting.OPTIMISTIC
     leader_sum = variant.leader_obj is Objective.SUM
 
@@ -155,11 +145,8 @@ def react_bottleneck(
         top = max(graph.item(v).wf for v in graph.follower_ids)
         pool = [v for v in graph.follower_ids if graph.item(v).wf == top]
         if leader_sum and optimistic:
-            _, chosen = mwis_bipartite(
-                graph,
-                {v: CompositeWeight(graph.item(v).wl, 0) for v in pool},
-                pool,
-                require_nonempty=True,
+            _, chosen = mwis_by_owner(
+                graph, pool, Owner.LEADER, require_nonempty=True
             )
             return chosen
         return _single(graph, pool, prefer_high_wl=optimistic)
@@ -172,11 +159,7 @@ def react_bottleneck(
     if leader_sum and optimistic:
         if not eligible:
             return frozenset()
-        _, chosen = mwis_bipartite(
-            graph,
-            {v: CompositeWeight(graph.item(v).wl, 0) for v in eligible},
-            eligible,
-        )
+        _, chosen = mwis_by_owner(graph, eligible, Owner.LEADER)
         return chosen
     if not leader_sum and not optimistic:
         if not eligible:
@@ -184,14 +167,6 @@ def react_bottleneck(
         worst = min(eligible, key=lambda v: (graph.item(v).wl, v))
         return frozenset({worst})
     return frozenset()
-
-
-def _max_follower_sum(
-    graph: BisGraph, pool: Iterable[int]
-) -> tuple[int, frozenset[int]]:
-    weights = {v: CompositeWeight(graph.item(v).wf, 0) for v in pool}
-    value, chosen = mwis_bipartite(graph, weights, pool)
-    return value.primary, chosen
 
 
 def react_sum_graph_bottleneck(
@@ -209,7 +184,7 @@ def react_sum_graph_bottleneck(
     candidate, so they stay polynomial.
     """
     lset = frozenset(leader_set)
-    _check_leader_action(graph, lset)
+    check_leader_action(graph, lset)
     if not lset and not graph.follower_ids:
         raise Infeasible("empty leader action with no follower vertices")
     free = _free_follower_vertices(graph, lset)
@@ -217,7 +192,7 @@ def react_sum_graph_bottleneck(
         if not lset:
             raise Infeasible("no follower vertex available for a nonempty reaction")
         return frozenset()
-    target, _ = _max_follower_sum(graph, free)
+    target, _ = mwis_by_owner(graph, free, Owner.FOLLOWER)
     wl = {v: graph.item(v).wl for v in free}
 
     if target == 0:
@@ -234,7 +209,7 @@ def react_sum_graph_bottleneck(
     if setting is Setting.OPTIMISTIC:
         for threshold in sorted(set(wl.values()), reverse=True):
             pool = [v for v in free if wl[v] >= threshold]
-            value, chosen = _max_follower_sum(graph, pool)
+            value, chosen = mwis_by_owner(graph, pool, Owner.FOLLOWER)
             if value == target:
                 return chosen
         raise AssertionError("threshold scan must hit the unrestricted optimum")
@@ -244,7 +219,7 @@ def react_sum_graph_bottleneck(
             v for v in free
             if v != forced and v not in graph.adjacency[forced]
         ]
-        value, chosen = _max_follower_sum(graph, rest)
+        value, chosen = mwis_by_owner(graph, rest, Owner.FOLLOWER)
         if value + graph.item(forced).wf == target:
             return chosen | {forced}
     raise AssertionError("some maximum-sum reaction must contain a vertex")

@@ -48,7 +48,6 @@ class DpTables:
     opt: list[int] = field(default_factory=list)
     choice: dict[int, tuple] = field(default_factory=dict)
     sol_leader_weight: dict[tuple[int, int], int] = field(default_factory=dict)
-    block_sets: dict[tuple[int, int], frozenset[int]] = field(default_factory=dict)
 
 
 def follower_block(
@@ -95,9 +94,8 @@ def compute_tables(instance: IntervalInstance, setting: Setting) -> DpTables:
     def block_weight(j: int, k: int) -> int:
         key = (j, k)
         if key not in tables.sol_leader_weight:
-            weight, block = follower_block(instance, ordered, j, k, setting)
+            weight, _ = follower_block(instance, ordered, j, k, setting)
             tables.sol_leader_weight[key] = weight
-            tables.block_sets[key] = block
         return tables.sol_leader_weight[key]
 
     for k in range(1, n + 1):
@@ -168,10 +166,9 @@ def reconstruct(
 
 def solve_bisel(instance: IntervalInstance, setting: Setting) -> BilevelOutcome:
     """Optimal bilevel interval selection under sum objectives."""
+    variant = Variant(Objective.SUM, Objective.SUM, setting)
     if not len(instance):
-        variant = Variant(Objective.SUM, Objective.SUM, setting)
         return make_outcome(instance, variant, frozenset(), frozenset())
     tables = compute_tables(instance, setting)
     leader, follower = reconstruct(tables, instance, setting)
-    variant = Variant(Objective.SUM, Objective.SUM, setting)
     return make_outcome(instance, variant, leader, follower)

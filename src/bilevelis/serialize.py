@@ -46,8 +46,14 @@ def _int(value: Any, what: str) -> int:
     return value
 
 
+def _list(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what}: expected a list, got {type(value).__name__}")
+    return value
+
+
 def _owner(value: Any, what: str) -> Owner:
-    if value not in _OWNERS:
+    if not isinstance(value, str) or value not in _OWNERS:
         raise ValueError(f"{what}: owner must be 'leader' or 'follower'")
     return _OWNERS[value]
 
@@ -68,7 +74,7 @@ def graph_from_dict(data: dict) -> BisGraph:
     if data["type"] != "graph":
         raise ValueError(f"expected type 'graph', got {data['type']!r}")
     vertices = []
-    for entry in data["vertices"]:
+    for entry in _list(data["vertices"], "vertices"):
         _require_keys(entry, {"id", "owner", "wl", "wf"}, "vertex")
         vertices.append(
             Vertex(
@@ -79,7 +85,7 @@ def graph_from_dict(data: dict) -> BisGraph:
             )
         )
     edges = []
-    for pair in data["edges"]:
+    for pair in _list(data["edges"], "edges"):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValueError(f"edge must be a pair, got {pair!r}")
         edges.append((_int(pair[0], "edge"), _int(pair[1], "edge")))
@@ -108,7 +114,7 @@ def intervals_from_dict(data: dict) -> IntervalInstance:
     if data["type"] != "intervals":
         raise ValueError(f"expected type 'intervals', got {data['type']!r}")
     intervals = []
-    for entry in data["intervals"]:
+    for entry in _list(data["intervals"], "intervals"):
         _require_keys(
             entry, {"id", "start", "end", "owner", "wl", "wf"}, "interval"
         )
@@ -151,9 +157,12 @@ def outcome_from_dict(data: dict) -> BilevelOutcome:
         "outcome",
     )
     return BilevelOutcome(
-        leader_set=frozenset(_int(v, "leader_set") for v in data["leader_set"]),
+        leader_set=frozenset(
+            _int(v, "leader_set") for v in _list(data["leader_set"], "leader_set")
+        ),
         follower_set=frozenset(
-            _int(v, "follower_set") for v in data["follower_set"]
+            _int(v, "follower_set")
+            for v in _list(data["follower_set"], "follower_set")
         ),
         leader_value=_int(data["leader_value"], "leader_value"),
         follower_value=_int(data["follower_value"], "follower_value"),
@@ -180,9 +189,9 @@ def b2cnf_from_dict(data: dict) -> B2cnfFormula:
     if data["type"] != "b2cnf":
         raise ValueError(f"expected type 'b2cnf', got {data['type']!r}")
     clauses = []
-    for raw in data["clauses"]:
+    for raw in _list(data["clauses"], "clauses"):
         lits = []
-        for entry in raw:
+        for entry in _list(raw, "clause"):
             _require_keys(entry, {"side", "var", "neg"}, "literal")
             if not isinstance(entry["neg"], bool):
                 raise ValueError("literal 'neg' must be a boolean")

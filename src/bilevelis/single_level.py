@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .core import BisGraph, CompositeWeight, IntervalInstance, weight_sum
+from .core import BisGraph, CompositeWeight, IntervalInstance, Owner, weight_sum
 from .errors import EmptyRestrict, NotBipartite
 
 
@@ -255,3 +255,21 @@ def mwis_bipartite(
         best = max(nodes, key=lambda v: (weight[v], -v))
         chosen = {best}
     return weight_sum(weight[v] for v in chosen), frozenset(chosen)
+
+
+def mwis_by_owner(
+    graph: BisGraph,
+    pool: Iterable[int],
+    owner: Owner,
+    require_nonempty: bool = False,
+) -> tuple[int, frozenset[int]]:
+    """``mwis_bipartite`` over ``pool`` weighted by one player's weights
+    alone (``wl`` for the leader, ``wf`` for the follower), with the
+    optimum returned as a plain integer."""
+    pool = list(pool)
+    if owner is Owner.LEADER:
+        weights = {v: CompositeWeight(graph.item(v).wl, 0) for v in pool}
+    else:
+        weights = {v: CompositeWeight(graph.item(v).wf, 0) for v in pool}
+    value, chosen = mwis_bipartite(graph, weights, pool, require_nonempty)
+    return value.primary, chosen

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from bilevelis.bis_solvers import (
+    solve,
     solve_cb_db_o,
     solve_cs_db_o_bipartite,
     solve_cs_db_p_bipartite,
@@ -11,6 +12,7 @@ from bilevelis.bis_solvers import (
 )
 from bilevelis.brute import brute_force
 from bilevelis.core import (
+    ALL_VARIANTS,
     BisGraph,
     Owner,
     Variant,
@@ -18,9 +20,10 @@ from bilevelis.core import (
     evaluate,
     is_independent,
 )
-from bilevelis.errors import Infeasible, NotBipartite, OracleUnavailable
+from bilevelis.errors import Infeasible, NotBipartite, OracleUnavailable, UnknownId
 from bilevelis.fixtures import g1, g2
 from bilevelis.randgen import gen_random_graph
+from bilevelis.single_level import is_bipartite
 
 V = Variant.from_code
 LEAD, FOLL = Owner.LEADER, Owner.FOLLOWER
@@ -192,6 +195,11 @@ class TestVerifyCertificate:
     def test_dependent_action_rejected(self):
         assert not verify_certificate(g1(), V("cs-ds-o"), {0, 1}, 0)
 
+    def test_unknown_id_raises_even_beside_follower_id(self):
+        # every id is looked up before any owner is checked
+        with pytest.raises(UnknownId):
+            verify_certificate(g1(), V("cs-ds-o"), {1, 99}, 0)
+
     def test_infeasible_empty_action(self):
         graph = single(LEAD, 3, 1)
         assert not verify_certificate(graph, V("cs-ds-o"), frozenset(), 0)
@@ -212,3 +220,33 @@ class TestVerifyCertificate:
                 assert not verify_certificate(
                     graph, V(code), out.leader_set, out.leader_value + 1
                 )
+
+
+def leader_triangle_with_follower() -> BisGraph:
+    return BisGraph(
+        (Vertex(0, LEAD, 4, 2), Vertex(1, LEAD, 3, 5), Vertex(2, LEAD, 1, 3),
+         Vertex(3, FOLL, 2, 4)),
+        ((0, 1), (0, 2), (1, 2), (0, 3)),
+    )
+
+
+def route_by_two_coloring(graph, variant):
+    """The routing table as written out case by case, with an explicit
+    two-coloring test in front of the bipartite solvers."""
+    if variant.code == "cb-db-o":
+        return solve_cb_db_o(graph)
+    if variant.code == "cs-db-o" and is_bipartite(graph):
+        return solve_cs_db_o_bipartite(graph)
+    if variant.code == "cs-db-p" and is_bipartite(graph):
+        return solve_cs_db_p_bipartite(graph)
+    return solve_enum_leader(graph, variant)
+
+
+class TestSolve:
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.code)
+    @pytest.mark.parametrize(
+        "graph", [g1(), g2(), leader_triangle_with_follower()],
+        ids=["g1", "g2", "triangle"],
+    )
+    def test_matches_explicit_routing(self, graph, variant):
+        assert solve(graph, variant) == route_by_two_coloring(graph, variant)

@@ -11,9 +11,11 @@ from bilevelis.core import (
     Interval,
     IntervalInstance,
     Owner,
+    Variant,
     Vertex,
 )
 from bilevelis.fixtures import g1, i1
+from bilevelis.follower import react
 from bilevelis.randgen import gen_random_graph
 from bilevelis.reductions import B2cnfFormula, Literal
 from bilevelis.serialize import (
@@ -117,9 +119,37 @@ class TestStrictness:
         with pytest.raises(ValueError):
             graph_from_dict(data)
 
+    def test_outcome_id_list_must_be_a_list(self):
+        data = outcome_to_dict(BilevelOutcome(frozenset({0}), frozenset(), 5, 1))
+        data["leader_set"] = 0
+        with pytest.raises(ValueError, match="expected a list"):
+            outcome_from_dict(data)
+
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def _graph_body(vertices, edges):
+    return {"type": "graph", "vertices": vertices, "edges": edges}
+
+
+def _b2cnf_body(clauses):
+    return {"type": "b2cnf", "n1": 1, "n2": 1, "clauses": clauses}
+
+
+# Leader items 0 and 1 conflict: adjacent vertices, overlapping intervals.
+_CONFLICTING_LEADERS = [
+    BisGraph(
+        (Vertex(0, LEAD, 2, 3), Vertex(1, LEAD, 4, 1), Vertex(2, FOLL, 1, 5)),
+        ((0, 1),),
+    ),
+    IntervalInstance((
+        Interval(0, 0, 2, LEAD, 2, 3),
+        Interval(1, 1, 3, LEAD, 4, 1),
+        Interval(2, 3, 4, FOLL, 1, 5),
+    )),
+]
 
 
 class TestCli:
@@ -235,6 +265,38 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text('{"type": "graph", "vertices": [], "edges": [], "x": 1}')
         assert run_cli("solve", "--variant", "cs-ds-o", "--input", str(bad)) == 2
+
+    @pytest.mark.parametrize("command, body", [
+        (["solve", "--variant", "cs-ds-o"], _graph_body(5, [])),
+        (["solve", "--variant", "cs-ds-o"], _graph_body([], 5)),
+        (["solve-intervals", "--setting", "o"],
+         {"type": "intervals", "intervals": None}),
+        (["reduce", "b2cnf"], _b2cnf_body(5)),
+        (["reduce", "b2cnf"], _b2cnf_body([5])),
+        (["solve", "--variant", "cs-ds-o"], _graph_body(
+            [{"id": 0, "owner": ["leader"], "wl": 1, "wf": 1}], [])),
+    ])
+    def test_exit_code_malformed_container(self, tmp_path, command, body):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(body))
+        assert run_cli(
+            *command, "--input", str(path), "--output", str(tmp_path / "out.json")
+        ) == 2
+
+    @pytest.mark.parametrize("instance", _CONFLICTING_LEADERS,
+                             ids=["graph", "intervals"])
+    def test_infeasible_leader_action_rejected(self, tmp_path, instance):
+        path = tmp_path / "inst.json"
+        if isinstance(instance, BisGraph):
+            path.write_text(dumps(graph_to_dict(instance)))
+        else:
+            path.write_text(dumps(intervals_to_dict(instance)))
+        assert run_cli(
+            "follower", "--variant", "cs-ds-o", "--leader", "0,1",
+            "--input", str(path),
+        ) == 2
+        with pytest.raises(ValueError, match="not feasible"):
+            react(instance, {0, 1}, Variant.from_code("cs-ds-o"))
 
     def test_exit_code_missing_file(self, tmp_path):
         assert run_cli(
