@@ -19,7 +19,6 @@ from .core import (
     Owner,
     Setting,
     Variant,
-    check_leader_action,
     evaluate,
     make_outcome,
 )
@@ -84,8 +83,6 @@ def solve_cs_db_o_bipartite(graph: BisGraph) -> BilevelOutcome:
             best_leader = frozenset({pivot}) | frozenset(
                 v for v in chosen if graph.item(v).owner is Owner.LEADER
             )
-    if best_value is None:
-        raise Infeasible("graph has neither leader nor follower vertices")
     reaction = react_bottleneck(graph, best_leader, _CS_DB_O)
     return make_outcome(graph, _CS_DB_O, best_leader, reaction)
 
@@ -187,15 +184,12 @@ def verify_certificate(
 ) -> bool:
     """Check a leader action as a certificate: recompute the follower's
     optimal reaction and test whether the leader's value reaches the
-    claim.  Infeasible or malformed actions verify as False."""
+    claim.  Infeasible or malformed actions verify as False (every oracle
+    checks the action before it does any work)."""
     lset = frozenset(leader_set)
     try:
-        check_leader_action(graph, lset)
-    except ValueError:
-        return False
-    try:
         reaction = _oracle_reaction(graph, lset, variant)
-    except Infeasible:
+    except (ValueError, Infeasible):
         return False
     value = evaluate(variant.leader_obj, Owner.LEADER, lset | reaction, graph)
     return value >= claimed_value

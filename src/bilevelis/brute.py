@@ -35,6 +35,15 @@ VC_CAP = 20
 B2CNF_CAP = 16
 
 
+def _check_cap(size: int, cap: int, what: str) -> None:
+    """Reject a negative cap as a bad parameter (``ValueError``) and a
+    ``size`` above the cap with ``CapExceeded``."""
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
+    if size > cap:
+        raise CapExceeded(f"{size} {what} exceed cap {cap}")
+
+
 @dataclass
 class _Ground:
     """Items flattened to positions with bitmask conflict sets."""
@@ -170,9 +179,7 @@ def brute_follower(
     union, so the empty leader action must be answered nonempty.
     """
     lset = frozenset(leader_set)
-    n_follow = len(instance.follower_ids)
-    if n_follow > cap:
-        raise CapExceeded(f"{n_follow} follower items exceed cap {cap}")
+    _check_cap(len(instance.follower_ids), cap, "follower items")
     check_leader_action(instance, lset)
     ground = _Ground.build(instance)
     lmask = ground.mask_of(lset)
@@ -236,8 +243,7 @@ def brute_force(
     admits the empty joint solution at value 0 (used when cross-checking
     against interval instances, which carry no nonemptiness rule).
     """
-    if len(graph) > cap:
-        raise CapExceeded(f"{len(graph)} vertices exceed cap {cap}")
+    _check_cap(len(graph), cap, "vertices")
     return _optimum(graph, variant, require_union_nonempty)
 
 
@@ -246,8 +252,7 @@ def brute_bisel(
 ) -> BilevelOutcome:
     """Bilevel interval-selection optimum by nested enumeration (sum
     objectives; the empty union is feasible at value 0)."""
-    if len(instance) > cap:
-        raise CapExceeded(f"{len(instance)} intervals exceed cap {cap}")
+    _check_cap(len(instance), cap, "intervals")
     variant = Variant(Objective.SUM, Objective.SUM, setting)
     return _optimum(instance, variant, require_nonempty=False)
 
@@ -256,8 +261,7 @@ def decide_vc_brute(
     n: int, edges: Sequence[tuple[int, int]], k: int, cap: int = VC_CAP
 ) -> bool:
     """True iff the graph has a vertex cover of size at most ``k``."""
-    if n > cap:
-        raise CapExceeded(f"{n} vertices exceed cap {cap}")
+    _check_cap(n, cap, "vertices")
     for u, v in edges:
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"bad edge {(u, v)}")
@@ -274,10 +278,7 @@ def decide_vc_brute(
 def decide_b2cnf_brute(formula: B2cnfFormula, cap: int = B2CNF_CAP) -> bool:
     """True iff some assignment of the X variables leaves the formula
     unsatisfied under every assignment of the Y variables."""
-    if formula.n1 + formula.n2 > cap:
-        raise CapExceeded(
-            f"{formula.n1 + formula.n2} variables exceed cap {cap}"
-        )
+    _check_cap(formula.n1 + formula.n2, cap, "variables")
 
     def lit_true(lit, x_bits: int, y_bits: int) -> bool:
         bits = x_bits if lit.side == "X" else y_bits

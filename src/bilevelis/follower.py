@@ -84,31 +84,15 @@ def react_sum_graph(
     """
     lset = frozenset(leader_set)
     check_leader_action(graph, lset)
-    require_nonempty = not lset
     if not lset and not graph.follower_ids:
         raise Infeasible("empty leader action with no follower vertices")
     free = _free_follower_vertices(graph, lset)
     if not free:
-        if require_nonempty:
-            raise Infeasible("no follower vertex available for a nonempty reaction")
         return frozenset()
     _, chosen = mwis_bipartite(
-        graph, perturb(graph, setting), free, require_nonempty=require_nonempty
+        graph, perturb(graph, setting), free, require_nonempty=not lset
     )
     return chosen
-
-
-def _single(
-    graph: BisGraph, candidates: Iterable[int], prefer_high_wl: bool
-) -> frozenset[int]:
-    """One follower vertex maximizing wf; wl breaks ties per setting,
-    vertex id breaks the rest."""
-    sign = 1 if prefer_high_wl else -1
-    best = max(
-        candidates,
-        key=lambda v: (graph.item(v).wf, sign * graph.item(v).wl, -v),
-    )
-    return frozenset({best})
 
 
 def react_bottleneck(
@@ -149,7 +133,9 @@ def react_bottleneck(
                 graph, pool, Owner.LEADER, require_nonempty=True
             )
             return chosen
-        return _single(graph, pool, prefer_high_wl=optimistic)
+        sign = 1 if optimistic else -1
+        best = max(pool, key=lambda v: (sign * graph.item(v).wl, -v))
+        return frozenset({best})
 
     cap = min(graph.item(v).wf for v in lset)
     eligible = [
@@ -189,8 +175,6 @@ def react_sum_graph_bottleneck(
         raise Infeasible("empty leader action with no follower vertices")
     free = _free_follower_vertices(graph, lset)
     if not free:
-        if not lset:
-            raise Infeasible("no follower vertex available for a nonempty reaction")
         return frozenset()
     target, _ = mwis_by_owner(graph, free, Owner.FOLLOWER)
     wl = {v: graph.item(v).wl for v in free}

@@ -36,7 +36,7 @@ class DpTables:
     in end order.  ``choice[k]`` records how it was reached: ``("take",)``
     or ``("skip",)`` for a leader interval, ``("block", j)`` for a follower
     interval where ``j`` is the position of the last leader interval used
-    (0 for none).  ``sol_leader_weight`` caches the leader-weight of the
+    (0 for none).  ``sol_leader_weight`` holds the leader-weight of the
     follower's optimal block per ``(j, k)`` pair.
 
     ``opt`` need not be monotone: extending the prefix by a follower
@@ -44,7 +44,6 @@ class DpTables:
     """
 
     sorted_intervals: SortedIntervals
-    setting: Setting
     opt: list[int] = field(default_factory=list)
     choice: dict[int, tuple] = field(default_factory=dict)
     sol_leader_weight: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -85,18 +84,11 @@ def follower_block(
 def compute_tables(instance: IntervalInstance, setting: Setting) -> DpTables:
     """Fill the prefix-optimum tables bottom-up."""
     ordered = sort_and_index(instance)
-    tables = DpTables(sorted_intervals=ordered, setting=setting)
+    tables = DpTables(sorted_intervals=ordered)
     n = len(ordered)
     opt = [0] * (n + 1)
     prev = ordered.prev_disjoint
     leader_positions: list[int] = []
-
-    def block_weight(j: int, k: int) -> int:
-        key = (j, k)
-        if key not in tables.sol_leader_weight:
-            weight, _ = follower_block(instance, ordered, j, k, setting)
-            tables.sol_leader_weight[key] = weight
-        return tables.sol_leader_weight[key]
 
     for k in range(1, n + 1):
         interval = instance.by_id[ordered.order[k - 1]]
@@ -113,7 +105,9 @@ def compute_tables(instance: IntervalInstance, setting: Setting) -> DpTables:
             best, best_j = None, None
             for j in [0, *leader_positions]:
                 wl_j = 0 if j == 0 else instance.by_id[ordered.order[j - 1]].wl
-                value = opt[prev[j]] + wl_j + block_weight(j, k)
+                block_wl, _ = follower_block(instance, ordered, j, k, setting)
+                tables.sol_leader_weight[(j, k)] = block_wl
+                value = opt[prev[j]] + wl_j + block_wl
                 if best is None or value > best:
                     best, best_j = value, j
             opt[k] = best

@@ -47,6 +47,9 @@ class B2cnfFormula:
     clauses: tuple[tuple[Literal, Literal, Literal], ...]
 
     def __post_init__(self):
+        for name in ("n1", "n2"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         clauses = tuple(tuple(c) for c in self.clauses)
         for clause in clauses:
             if len(clause) != 3:
@@ -354,6 +357,8 @@ def is_to_bis(n: int, edges: Sequence[tuple[int, int]], k: int) -> ReductionOutp
     """Independent set embeds directly: all vertices go to the leader with
     unit weights, the follower owns nothing, and the question becomes
     whether a leader action of total weight ``k`` exists."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
     simple = _check_simple(n, edges)
     vertices = tuple(Vertex(v, _L, wl=1, wf=1) for v in range(n))
     graph = BisGraph(vertices, tuple(simple))

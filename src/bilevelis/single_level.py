@@ -36,15 +36,24 @@ class SortedIntervals:
         return len(self.order)
 
 
-def sort_and_index(instance: IntervalInstance) -> SortedIntervals:
-    """Sort intervals by end point and index each one's latest disjoint
-    predecessor via binary search over the sorted end points."""
-    items = sorted(instance.intervals, key=lambda iv: (iv.end, iv.start, iv.id))
+def sort_and_index(
+    instance: IntervalInstance, restrict: Iterable[int] | None = None
+) -> SortedIntervals:
+    """Sort the intervals (all of them, or those in ``restrict``) by end
+    point and index each one's latest disjoint predecessor via binary
+    search over the sorted end points."""
+    if restrict is None:
+        items = instance.intervals
+    else:
+        items = [instance.item(iid) for iid in set(restrict)]
+    items = sorted(items, key=lambda iv: (iv.end, iv.start, iv.id))
     ends = [iv.end for iv in items]
     prev = [0]
     for k, iv in enumerate(items, start=1):
         prev.append(bisect.bisect_right(ends, iv.start, 0, k - 1))
-    return SortedIntervals(tuple(iv.id for iv in items), tuple(prev))
+    # A list, not a generator: CPython resizes a generator's tuple into a free
+    # list it never draws from, and one call per DP block fills them all.
+    return SortedIntervals(tuple([iv.id for iv in items]), tuple(prev))
 
 
 def frank_dp(
@@ -59,21 +68,13 @@ def frank_dp(
     because comparison of the pair sums is a total order.  Returns the
     optimal value and one optimal set (deterministic: skips on ties).
     """
-    chosen_ids = set(restrict)
-    for iid in chosen_ids:
-        instance.item(iid)
-    items = sorted(
-        (instance.by_id[iid] for iid in chosen_ids),
-        key=lambda iv: (iv.end, iv.start, iv.id),
-    )
-    ends = [iv.end for iv in items]
-    n = len(items)
-    prev = [0] * (n + 1)
+    ordered = sort_and_index(instance, restrict)
+    order, prev = ordered.order, ordered.prev_disjoint
+    n = len(order)
     best = [CompositeWeight.ZERO] * (n + 1)
     take = [False] * (n + 1)
     for k in range(1, n + 1):
-        prev[k] = bisect.bisect_right(ends, items[k - 1].start, 0, k - 1)
-        with_k = best[prev[k]] + weight[items[k - 1].id]
+        with_k = best[prev[k]] + weight[order[k - 1]]
         if with_k > best[k - 1]:
             best[k] = with_k
             take[k] = True
@@ -83,7 +84,7 @@ def frank_dp(
     k = n
     while k > 0:
         if take[k]:
-            chosen.append(items[k - 1].id)
+            chosen.append(order[k - 1])
             k = prev[k]
         else:
             k -= 1
@@ -217,8 +218,6 @@ def mwis_bipartite(
     non-positive any optimal nonempty set is a single vertex).
     """
     nodes = set(restrict)
-    for vid in nodes:
-        graph.item(vid)
     if require_nonempty and not nodes:
         raise EmptyRestrict("nonempty selection requested from empty set")
     side_a, side_b = bipartition(graph, nodes)
@@ -240,8 +239,7 @@ def mwis_bipartite(
     for u, v in graph.edges:
         if u in keep and v in keep:
             a, b = (u, v) if u in side_a else (v, u)
-            if a in side_a and b in side_b:
-                net.add_edge(index[a], index[b], inf)
+            net.add_edge(index[a], index[b], inf)
     net.max_flow(source, sink)
     reach = net.reachable(source)
     chosen = {

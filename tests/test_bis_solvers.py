@@ -200,6 +200,17 @@ class TestVerifyCertificate:
         with pytest.raises(UnknownId):
             verify_certificate(g1(), V("cs-ds-o"), {1, 99}, 0)
 
+    def test_dependent_action_rejected_where_oracle_cannot_run(self):
+        # follower triangle 0-1-2 beside adjacent leaders 3-4
+        graph = BisGraph(
+            (Vertex(0, FOLL, 1, 2), Vertex(1, FOLL, 2, 3), Vertex(2, FOLL, 3, 1),
+             Vertex(3, LEAD, 4, 1), Vertex(4, LEAD, 2, 2)),
+            ((0, 1), (0, 2), (1, 2), (3, 4)),
+        )
+        with pytest.raises(OracleUnavailable):
+            verify_certificate(graph, V("cs-ds-o"), {3}, 0)
+        assert not verify_certificate(graph, V("cs-ds-o"), {3, 4}, 0)
+
     def test_infeasible_empty_action(self):
         graph = single(LEAD, 3, 1)
         assert not verify_certificate(graph, V("cs-ds-o"), frozenset(), 0)

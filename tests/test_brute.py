@@ -233,6 +233,18 @@ class TestDecideVc:
             assert decide_vc_brute(n, edges, k) == want
 
 
+@pytest.mark.parametrize("call", [
+    lambda: brute_follower(g1(), frozenset(), V("cs-ds-o"), cap=-1),
+    lambda: brute_force(g1(), V("cs-ds-o"), cap=-1),
+    lambda: brute_bisel(i1(), OPT, cap=-1),
+    lambda: decide_vc_brute(3, K3_EDGES, 1, cap=-1),
+    lambda: decide_b2cnf_brute(B2cnfFormula(1, 1, ()), cap=-1),
+], ids=["follower", "force", "bisel", "vc", "b2cnf"])
+def test_negative_cap_is_a_bad_parameter(call):
+    with pytest.raises(ValueError, match="cap must be non-negative"):
+        call()
+
+
 def _formula(*clauses):
     return B2cnfFormula(1, 1, tuple(clauses))
 

@@ -208,6 +208,10 @@ class TestIsToBis:
             (v.wl, v.wf) == (1, 1) for v in out.graph.vertices
         )
 
+    def test_k_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            is_to_bis(*K3, -3)
+
 
 class TestFormulaValidation:
     def test_two_literal_clause(self):
@@ -221,3 +225,8 @@ class TestFormulaValidation:
     def test_bad_side(self):
         with pytest.raises(ValueError):
             Literal("Z", 1, False)
+
+    @pytest.mark.parametrize("n1, n2, field", [(-1, 1, "n1"), (1, -1, "n2")])
+    def test_negative_variable_count(self, n1, n2, field):
+        with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+            B2cnfFormula(n1, n2, ())

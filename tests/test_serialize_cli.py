@@ -320,6 +320,34 @@ class TestCli:
     def test_exit_code_bad_parameter(self):
         assert run_cli("bench", "--sizes", "20,10") == 2
 
+    @pytest.mark.parametrize("command, instance", [
+        (["brute", "--variant", "cs-ds-o"], g1()),
+        (["brute", "--variant", "cs-ds-o", "--leader", "0"], g1()),
+        (["brute-intervals", "--setting", "o"], i1()),
+    ], ids=["brute", "brute-leader", "brute-intervals"])
+    def test_negative_cap_is_a_bad_parameter(self, tmp_path, command, instance):
+        path = tmp_path / "inst.json"
+        if isinstance(instance, BisGraph):
+            path.write_text(dumps(graph_to_dict(instance)))
+        else:
+            path.write_text(dumps(intervals_to_dict(instance)))
+        assert run_cli(*command, "--input", str(path), "--cap", "-1") == 2
+
+    @pytest.mark.parametrize("command, body, field", [
+        (["reduce", "b2cnf"],
+         {"type": "b2cnf", "n1": -1, "n2": 1, "clauses": []}, "n1"),
+        (["reduce", "is", "--k", "-3"], _graph_body([], []), "k"),
+    ], ids=["b2cnf-n1", "is-k"])
+    def test_negative_reduction_parameter(
+        self, tmp_path, capsys, command, body, field
+    ):
+        path = tmp_path / "src.json"
+        path.write_text(json.dumps(body))
+        assert run_cli(
+            *command, "--input", str(path), "--output", str(tmp_path / "out.json")
+        ) == 2
+        assert f"{field} must be non-negative" in capsys.readouterr().err
+
     def test_gen_rejects_bad_probability(self, tmp_path):
         assert run_cli(
             "gen", "graph", "--n", "5", "--edge-prob", "1.5",

@@ -56,18 +56,24 @@ class TestSortAndIndex:
 
     def test_invariants_on_random_instances(self):
         rng = random.Random(11)
+        pick = random.Random(12)
         for trial in range(100):
             inst = gen_random_intervals(rng.randint(0, 14), 12, 0.5, 4, seed=trial)
-            ordered = sort_and_index(inst)
-            ends = [inst.by_id[i].end for i in ordered.order]
-            assert ends == sorted(ends)
-            for k in range(1, len(ordered) + 1):
-                p = ordered.prev_disjoint[k]
-                start_k = inst.by_id[ordered.order[k - 1]].start
-                if p:
-                    assert inst.by_id[ordered.order[p - 1]].end <= start_k
-                if p < k - 1:
-                    assert inst.by_id[ordered.order[p]].end > start_k
+            subset = [iid for iid in inst.ids if pick.random() < 0.5]
+            restricted = sort_and_index(inst, subset)
+            assert sorted(restricted.order) == subset
+            sub = IntervalInstance(tuple(inst.by_id[i] for i in subset))
+            assert restricted == sort_and_index(sub)
+            for ordered in (sort_and_index(inst), restricted):
+                ends = [inst.by_id[i].end for i in ordered.order]
+                assert ends == sorted(ends)
+                for k in range(1, len(ordered) + 1):
+                    p = ordered.prev_disjoint[k]
+                    start_k = inst.by_id[ordered.order[k - 1]].start
+                    if p:
+                        assert inst.by_id[ordered.order[p - 1]].end <= start_k
+                    if p < k - 1:
+                        assert inst.by_id[ordered.order[p]].end > start_k
 
 
 class TestFrankDp:
