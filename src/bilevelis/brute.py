@@ -265,8 +265,6 @@ def decide_vc_brute(
     for u, v in edges:
         if u == v or not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"bad edge {(u, v)}")
-    if not edges:
-        return True
     for size in range(0, min(k, n) + 1):
         for subset in combinations(range(n), size):
             chosen = set(subset)

@@ -189,13 +189,6 @@ class BisGraph:
             adj[v].add(u)
         return {k: frozenset(s) for k, s in adj.items()}
 
-    def neighbors_of(self, ids: Iterable[int]) -> frozenset[int]:
-        """Open neighborhood of a vertex set."""
-        out: set[int] = set()
-        for vid in ids:
-            out |= self.adjacency[self.item(vid).id]
-        return frozenset(out)
-
     @cached_property
     def leader_ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.vertices if v.owner is Owner.LEADER)

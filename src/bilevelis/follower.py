@@ -68,8 +68,10 @@ def react_intervals(
 def _free_follower_vertices(
     graph: BisGraph, leader_set: frozenset[int]
 ) -> list[int]:
-    blocked = graph.neighbors_of(leader_set)
-    return [v for v in graph.follower_ids if v not in blocked]
+    return [
+        v for v in graph.follower_ids
+        if graph.adjacency[v].isdisjoint(leader_set)
+    ]
 
 
 def react_sum_graph(
@@ -111,10 +113,11 @@ def react_bottleneck(
     * leader bottleneck, pessimistic: a single eligible vertex of minimum
       leader weight (drags the leader's min down as far as possible).
 
-    With the empty leader action the reaction must be nonempty: a single
-    vertex of maximum follower weight, tie-broken on leader weight per the
-    setting; for (sum, optimistic) a max-leader-weight nonempty independent
-    set inside the max-follower-weight class.
+    With the empty leader action the cap is the top follower weight, so the
+    eligible vertices are the max-follower-weight class, and the reaction
+    must be nonempty: for (sum, optimistic) a max-leader-weight nonempty
+    independent set of that class, otherwise a single vertex of it with the
+    largest leader weight when optimistic, the smallest when pessimistic.
     """
     if variant.follower_obj is not Objective.BOTTLENECK:
         raise ValueError("react_bottleneck requires a bottleneck follower objective")
@@ -122,37 +125,28 @@ def react_bottleneck(
     check_leader_action(graph, lset)
     optimistic = variant.setting is Setting.OPTIMISTIC
     leader_sum = variant.leader_obj is Objective.SUM
-
-    if not lset:
-        if not graph.follower_ids:
-            raise Infeasible("empty leader action with no follower vertices")
-        top = max(graph.item(v).wf for v in graph.follower_ids)
-        pool = [v for v in graph.follower_ids if graph.item(v).wf == top]
-        if leader_sum and optimistic:
-            _, chosen = mwis_by_owner(
-                graph, pool, Owner.LEADER, require_nonempty=True
-            )
-            return chosen
-        sign = 1 if optimistic else -1
-        best = max(pool, key=lambda v: (sign * graph.item(v).wl, -v))
-        return frozenset({best})
-
-    cap = min(graph.item(v).wf for v in lset)
+    if lset:
+        cap = min(graph.item(v).wf for v in lset)
+    elif graph.follower_ids:
+        cap = max(graph.item(v).wf for v in graph.follower_ids)
+    else:
+        raise Infeasible("empty leader action with no follower vertices")
     eligible = [
         v for v in _free_follower_vertices(graph, lset)
         if graph.item(v).wf >= cap
     ]
+    if not eligible:
+        return frozenset()
     if leader_sum and optimistic:
-        if not eligible:
-            return frozenset()
-        _, chosen = mwis_by_owner(graph, eligible, Owner.LEADER)
+        _, chosen = mwis_by_owner(
+            graph, eligible, Owner.LEADER, require_nonempty=not lset
+        )
         return chosen
-    if not leader_sum and not optimistic:
-        if not eligible:
-            return frozenset()
-        worst = min(eligible, key=lambda v: (graph.item(v).wl, v))
-        return frozenset({worst})
-    return frozenset()
+    if lset and (leader_sum or optimistic):
+        return frozenset()
+    if optimistic:
+        return frozenset({max(eligible, key=lambda v: (graph.item(v).wl, -v))})
+    return frozenset({min(eligible, key=lambda v: (graph.item(v).wl, v))})
 
 
 def react_sum_graph_bottleneck(
@@ -179,16 +173,10 @@ def react_sum_graph_bottleneck(
     target, _ = mwis_by_owner(graph, free, Owner.FOLLOWER)
     wl = {v: graph.item(v).wl for v in free}
 
-    if target == 0:
-        # Every reaction sums to zero for the follower, so all subsets of
-        # the free set tie; only the leader-bottleneck tie-break matters.
-        if setting is Setting.OPTIMISTIC:
-            if lset:
-                return frozenset()
-            best = max(free, key=lambda v: (wl[v], -v))
-            return frozenset({best})
-        worst = min(free, key=lambda v: (wl[v], v))
-        return frozenset({worst})
+    if target == 0 and not lset and setting is Setting.OPTIMISTIC:
+        # Every reaction ties at zero for the follower, but the empty
+        # action forces a nonempty one: the best single leader weight.
+        return frozenset({max(free, key=lambda v: (wl[v], -v))})
 
     if setting is Setting.OPTIMISTIC:
         for threshold in sorted(set(wl.values()), reverse=True):

@@ -234,7 +234,7 @@ def planar_vc_to_bipartite_bis(
     (guard, prize).  Selecting a selector forfeits its bonus but blocks the
     adjacent guards; the follower prefers guards over prizes, so a prize is
     collected exactly when its guard is blocked.  With prize weight ``M``
-    for the leader, value ``m*M + n - k`` is reachable iff ``k`` selectors
+    for the leader, value ``m*M + n - k`` is attainable iff ``k`` selectors
     cover all edges.  ``M = n + m + 101`` dominates every bonus the leader
     could keep instead.  Planarity of the source is never used by the
     equivalence, so it is not checked.  The generated graph itself does not

@@ -134,7 +134,6 @@ class _MaxFlow:
     """Dinic's algorithm on integer capacities."""
 
     def __init__(self, n: int):
-        self.n = n
         self.to: list[int] = []
         self.cap: list[int] = []
         self.head: list[list[int]] = [[] for _ in range(n)]
@@ -147,55 +146,53 @@ class _MaxFlow:
         self.to.append(u)
         self.cap.append(0)
 
-    def _levels(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * self.n
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level if level[t] >= 0 else None
+    def min_cut(self, s: int, t: int) -> set[int]:
+        """Source side of the minimal minimum s-t cut.
 
-    def _push(self, u: int, t: int, limit: int, level, it) -> int:
-        if u == t:
-            return limit
-        while it[u] < len(self.head[u]):
-            eid = self.head[u][it[u]]
-            v = self.to[eid]
-            if self.cap[eid] > 0 and level[v] == level[u] + 1:
-                got = self._push(u=v, t=t, limit=min(limit, self.cap[eid]),
-                                 level=level, it=it)
-                if got > 0:
-                    self.cap[eid] -= got
-                    self.cap[eid ^ 1] += got
-                    return got
-            it[u] += 1
-        return 0
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while (level := self._levels(s, t)) is not None:
-            it = [0] * self.n
-            while (got := self._push(s, t, 1 << 62, level, it)) > 0:
-                flow += got
-        return flow
-
-    def reachable(self, s: int) -> set[int]:
-        """Source side of the minimum cut after ``max_flow`` has run."""
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+        Each phase is a level search, then a blocking flow found by a
+        depth-first search over the current-arc pointers ``it``, with the
+        arcs of the current path on an explicit stack and a restart from
+        ``s`` after each augmentation.  The level search that fails to reach
+        ``t`` has marked exactly the nodes with a residual path from ``s``.
+        """
+        head, to, cap = self.head, self.to, self.cap
+        while True:
+            level = [-1] * len(head)
+            level[s] = 0
+            queue = deque([s])
+            while queue:
+                u = queue.popleft()
+                for eid in head[u]:
+                    v = to[eid]
+                    if cap[eid] > 0 and level[v] < 0:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            if level[t] < 0:
+                return {v for v, d in enumerate(level) if d >= 0}
+            it = [0] * len(head)
+            path: list[int] = []
+            u = s
+            while True:
+                if u == t:
+                    got = min(cap[eid] for eid in path)
+                    for eid in path:
+                        cap[eid] -= got
+                        cap[eid ^ 1] += got
+                    path.clear()
+                    u = s
+                elif it[u] < len(head[u]):
+                    eid = head[u][it[u]]
+                    if cap[eid] > 0 and level[to[eid]] == level[u] + 1:
+                        path.append(eid)
+                        u = to[eid]
+                    else:
+                        it[u] += 1
+                elif path:
+                    # Dead end: retreat along the path's last arc and skip it.
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+                else:
+                    break
 
 
 def mwis_bipartite(
@@ -240,14 +237,8 @@ def mwis_bipartite(
         if u in keep and v in keep:
             a, b = (u, v) if u in side_a else (v, u)
             net.add_edge(index[a], index[b], inf)
-    net.max_flow(source, sink)
-    reach = net.reachable(source)
-    chosen = {
-        v
-        for v in keep
-        if (v in side_a and index[v] in reach)
-        or (v in side_b and index[v] not in reach)
-    }
+    reach = net.min_cut(source, sink)
+    chosen = {v for v in keep if (v in side_a) == (index[v] in reach)}
 
     if require_nonempty and not chosen:
         best = max(nodes, key=lambda v: (weight[v], -v))

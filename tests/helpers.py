@@ -14,6 +14,8 @@ from bilevelis.core import (
     BisGraph,
     CompositeWeight,
     IntervalInstance,
+    Owner,
+    Vertex,
     intervals_pairwise_disjoint,
     is_independent,
     weight_sum,
@@ -49,6 +51,17 @@ def reference_mwis(graph: BisGraph, weight, restrict):
         if val > best_val:
             best_val, best_set = val, subset
     return best_val, best_set
+
+
+def deep_follower_path(n: int) -> BisGraph:
+    """Follower path ``n-1, 0, 1, ..., n-2`` (``wf=1``, ``wl=0``).  For
+    even ``n`` the first path vertex having the largest id makes one
+    augmenting path of ``mwis_bipartite``'s max flow run through every
+    vertex."""
+    return BisGraph(
+        tuple(Vertex(i, Owner.FOLLOWER, 0, 1) for i in range(n)),
+        ((n - 1, 0),) + tuple((i, i + 1) for i in range(n - 2)),
+    )
 
 
 def random_leader_action(rng: random.Random, instance) -> frozenset[int]:

@@ -206,6 +206,10 @@ class TestDecideVc:
     def test_edgeless(self):
         assert decide_vc_brute(4, [], 0)
 
+    def test_edgeless_negative_budget(self):
+        assert decide_vc_brute(3, [], -1) is False
+        assert decide_vc_brute(3, [], 0) is True
+
     def test_cap(self):
         with pytest.raises(CapExceeded):
             decide_vc_brute(25, [], 1)

@@ -166,36 +166,41 @@ class TestAgainstBrute:
     def test_bipartite_graphs(self, code):
         rng = random.Random(code)
         variant = V(code)
-        for trial in range(150):
-            graph = gen_random_graph(
-                rng.randint(1, 12), rng.uniform(0.1, 0.6), 0.5, 6,
-                bipartite=True, seed=trial,
-            )
-            action = random_leader_action(rng, graph)
-            if not action and not graph.follower_ids:
-                continue
-            got = react(graph, action, variant)
-            want = brute_follower(graph, action, variant)
-            assert _values(graph, variant, action, got) == _values(
-                graph, variant, action, want
-            )
+        # Max weight 1 makes the top follower class large; 0 ties everything.
+        for max_weight in (6, 1, 0):
+            for trial in range(150):
+                graph = gen_random_graph(
+                    rng.randint(1, 12), rng.uniform(0.1, 0.6), 0.5, max_weight,
+                    bipartite=True, seed=trial,
+                )
+                action = random_leader_action(rng, graph)
+                if not action and not graph.follower_ids:
+                    continue
+                got = react(graph, action, variant)
+                want = brute_follower(graph, action, variant)
+                assert _values(graph, variant, action, got) == _values(
+                    graph, variant, action, want
+                )
 
     @pytest.mark.parametrize("code", ["cb-db-o", "cb-db-p", "cs-db-p"])
     def test_general_graphs(self, code):
         rng = random.Random(code)
         variant = V(code)
-        for trial in range(150):
-            graph = gen_random_graph(
-                rng.randint(1, 12), rng.uniform(0.1, 0.7), 0.5, 6, seed=trial
-            )
-            action = random_leader_action(rng, graph)
-            if not action and not graph.follower_ids:
-                continue
-            got = react(graph, action, variant)
-            want = brute_follower(graph, action, variant)
-            assert _values(graph, variant, action, got) == _values(
-                graph, variant, action, want
-            )
+        # Max weight 1 makes the top follower class large; 0 ties everything.
+        for max_weight in (6, 1, 0):
+            for trial in range(150):
+                graph = gen_random_graph(
+                    rng.randint(1, 12), rng.uniform(0.1, 0.7), 0.5, max_weight,
+                    seed=trial,
+                )
+                action = random_leader_action(rng, graph)
+                if not action and not graph.follower_ids:
+                    continue
+                got = react(graph, action, variant)
+                want = brute_follower(graph, action, variant)
+                assert _values(graph, variant, action, got) == _values(
+                    graph, variant, action, want
+                )
 
 
 class TestPerturbationSoundness:

@@ -30,6 +30,7 @@ from bilevelis.serialize import (
     outcome_from_dict,
     outcome_to_dict,
 )
+from helpers import deep_follower_path
 
 LEAD, FOLL = Owner.LEADER, Owner.FOLLOWER
 
@@ -297,6 +298,22 @@ class TestCli:
         ) == 2
         with pytest.raises(ValueError, match="not feasible"):
             react(instance, {0, 1}, Variant.from_code("cs-ds-o"))
+
+    def test_follower_on_deep_flow_path(self, tmp_path):
+        path = tmp_path / "path.json"
+        path.write_text(dumps(graph_to_dict(deep_follower_path(1200))))
+        assert run_cli(
+            "follower", "--variant", "cs-ds-o", "--leader", "",
+            "--input", str(path),
+        ) == 0
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert run_cli("solve", "--variant", "cs-ds-o", "--input", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_exit_code_missing_file(self, tmp_path):
         assert run_cli(

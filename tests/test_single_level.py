@@ -21,7 +21,7 @@ from bilevelis.single_level import (
     mwis_bipartite,
     sort_and_index,
 )
-from helpers import reference_best_disjoint, reference_mwis
+from helpers import deep_follower_path, reference_best_disjoint, reference_mwis
 
 LEAD, FOLL = Owner.LEADER, Owner.FOLLOWER
 
@@ -192,6 +192,14 @@ class TestMwisBipartite:
             assert got_value == want_value
             assert got_set <= restrict
             assert weight_sum(weight[v] for v in got_set) == got_value
+
+    def test_deep_flow_path(self):
+        # Residual paths longer than the interpreter's recursion limit.
+        graph = deep_follower_path(1200)
+        weight = {v: CompositeWeight(1, 0) for v in graph.ids}
+        value, chosen = mwis_bipartite(graph, weight, set(graph.ids))
+        assert value.primary == 600
+        assert len(chosen) == 600
 
     def test_nonempty_matches_restricted_reference(self):
         # all-nonpositive weights force the single-vertex fallback
