@@ -13,7 +13,7 @@ import sys
 from .bis_solvers import solve, verify_certificate
 from .brute import BISEL_CAP, FORCE_CAP, brute_bisel, brute_follower, brute_force
 from .core import BisGraph, IntervalInstance, Setting, Variant, make_outcome
-from .errors import CapExceeded, Infeasible, SolverError
+from .errors import BadParameter, CapExceeded, Infeasible, SolverError
 from .follower import react
 from .interval_dp import solve_bisel
 from .randgen import bench_dp, gen_random_graph, gen_random_intervals
@@ -180,6 +180,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    if not sizes:
+        raise BadParameter("no sizes given")
     rows = bench_dp(sizes, seed=args.seed, setting=_SETTINGS[args.setting])
     for n, ms in rows:
         sys.stdout.write(f"{n},{ms:.3f}\n")

@@ -6,16 +6,23 @@ a prefix ending in a follower interval, the optimum is decomposed at the
 last leader interval of the joint solution: everything before that
 interval's latest disjoint predecessor is a smaller prefix of the same
 problem, and the follower fills the region after it with his own optimal
-selection, which the leader cannot influence.  Runs in polynomial time
-(the follower-block computations dominate).
+selection, which the leader cannot influence.
+
+For a fixed last leader position ``j`` the follower's windows for the
+later positions ``k`` are the prefixes of one end-sorted list, so a single
+take-or-skip pass per ``j`` prices every block ``(j, k)`` at once.  The
+tables take one left-to-right sweep with ``n_L + 1`` such passes:
+O(n_L * n log n) <= O(n^2 log n) time and O(n) extra memory.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .core import (
     BilevelOutcome,
+    CompositeWeight,
     IntervalInstance,
     Owner,
     Setting,
@@ -36,8 +43,9 @@ class DpTables:
     in end order.  ``choice[k]`` records how it was reached: ``("take",)``
     or ``("skip",)`` for a leader interval, ``("block", j)`` for a follower
     interval where ``j`` is the position of the last leader interval used
-    (0 for none).  ``sol_leader_weight`` holds the leader-weight of the
-    follower's optimal block per ``(j, k)`` pair.
+    (0 for none).  ``sol_leader_weight`` holds, for each follower position
+    ``k``, the leader weight of the follower's optimal block under the
+    chosen ``j``, keyed by that ``(j, k)`` pair.
 
     ``opt`` need not be monotone: extending the prefix by a follower
     interval can reshuffle the follower's selection against the leader.
@@ -63,7 +71,9 @@ def follower_block(
     ``j`` does, so disjointness reduces to starting at or after its end;
     ``j = 0`` is the sentinel and excludes nothing).  Returns the block's
     total leader weight and the block itself, computed with perturbed
-    weights so ties already respect the setting.
+    weights so ties already respect the setting.  ``compute_tables`` gets
+    the same leader weights from its prefix passes; this is their
+    independent reference.
     """
     n = len(ordered)
     if not (0 <= j < k <= n):
@@ -82,16 +92,55 @@ def follower_block(
 
 
 def compute_tables(instance: IntervalInstance, setting: Setting) -> DpTables:
-    """Fill the prefix-optimum tables bottom-up."""
+    """Fill the prefix-optimum tables in one left-to-right sweep.
+
+    Once ``opt[prev[j]]`` is final for the sentinel or a leader position
+    ``j``, one take-or-skip pass over the follower intervals after ``j``
+    that start at or after interval ``j``'s end (``frank_dp``'s recursion on
+    a growing prefix) gives ``follower_block(j, k)``'s leader weight for
+    every later ``k`` as ``sign * secondary`` of its running optimum.  Each
+    follower position keeps the first ``j`` with the largest
+    ``opt[prev[j]] + wl_j + block``.
+    """
     ordered = sort_and_index(instance)
     tables = DpTables(sorted_intervals=ordered)
     n = len(ordered)
     opt = [0] * (n + 1)
     prev = ordered.prev_disjoint
-    leader_positions: list[int] = []
+    items = [instance.by_id[iid] for iid in ordered.order]
+    weight = perturb(instance, setting)
+    sign = 1 if setting is Setting.OPTIMISTIC else -1
+    followers = [
+        (k, iv, weight[iv.id])
+        for k, iv in enumerate(items, start=1)
+        if iv.owner is Owner.FOLLOWER
+    ]
+    # per follower position: (value, j, block leader weight) of the best j
+    block: list[tuple[int, int, int] | None] = [None] * (n + 1)
 
+    def block_pass(j: int, after: int) -> None:
+        base = opt[prev[j]] + (0 if j == 0 else items[j - 1].wl)
+        cutoff = 0 if j == 0 else items[j - 1].end
+        ends: list[int] = []
+        best = [CompositeWeight.ZERO]
+        block_wl = 0
+        for k, iv, w in followers[after:]:
+            if iv.start >= cutoff:
+                with_k = best[bisect_right(ends, iv.start)] + w
+                if with_k > best[-1]:
+                    block_wl = sign * with_k.secondary
+                    best.append(with_k)
+                else:
+                    best.append(best[-1])
+                ends.append(iv.end)
+            value = base + block_wl
+            if block[k] is None or value > block[k][0]:
+                block[k] = (value, j, block_wl)
+
+    block_pass(0, 0)
+    seen_followers = 0
     for k in range(1, n + 1):
-        interval = instance.by_id[ordered.order[k - 1]]
+        interval = items[k - 1]
         if interval.owner is Owner.LEADER:
             take = interval.wl + opt[prev[k]]
             if take > opt[k - 1]:
@@ -100,18 +149,12 @@ def compute_tables(instance: IntervalInstance, setting: Setting) -> DpTables:
             else:
                 opt[k] = opt[k - 1]
                 tables.choice[k] = ("skip",)
-            leader_positions.append(k)
+            block_pass(k, seen_followers)
         else:
-            best, best_j = None, None
-            for j in [0, *leader_positions]:
-                wl_j = 0 if j == 0 else instance.by_id[ordered.order[j - 1]].wl
-                block_wl, _ = follower_block(instance, ordered, j, k, setting)
-                tables.sol_leader_weight[(j, k)] = block_wl
-                value = opt[prev[j]] + wl_j + block_wl
-                if best is None or value > best:
-                    best, best_j = value, j
-            opt[k] = best
-            tables.choice[k] = ("block", best_j)
+            seen_followers += 1
+            opt[k], j, block_wl = block[k]
+            tables.choice[k] = ("block", j)
+            tables.sol_leader_weight[(j, k)] = block_wl
     tables.opt = opt
     return tables
 

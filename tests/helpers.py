@@ -20,7 +20,9 @@ from bilevelis.core import (
     is_independent,
     weight_sum,
 )
+from bilevelis.interval_dp import DpTables, follower_block
 from bilevelis.reductions import B2cnfFormula, Literal
+from bilevelis.single_level import sort_and_index
 
 
 def powerset(items):
@@ -143,3 +145,40 @@ def all_small_b2cnf(max_clauses: int) -> list[B2cnfFormula]:
         for clause_mix in combinations_with_replacement(clause_patterns, m):
             formulas.append(B2cnfFormula(1, 1, tuple(clause_mix)))
     return formulas
+
+
+def reference_compute_tables(instance: IntervalInstance, setting) -> DpTables:
+    """The all-pairs interval DP: one ``follower_block`` call, i.e. one
+    ``perturb`` and one ``frank_dp``, per (leader position, follower
+    position) pair.  The slow reference for ``compute_tables``."""
+    ordered = sort_and_index(instance)
+    tables = DpTables(sorted_intervals=ordered)
+    n = len(ordered)
+    opt = [0] * (n + 1)
+    prev = ordered.prev_disjoint
+    leader_positions: list[int] = []
+
+    for k in range(1, n + 1):
+        interval = instance.by_id[ordered.order[k - 1]]
+        if interval.owner is Owner.LEADER:
+            take = interval.wl + opt[prev[k]]
+            if take > opt[k - 1]:
+                opt[k] = take
+                tables.choice[k] = ("take",)
+            else:
+                opt[k] = opt[k - 1]
+                tables.choice[k] = ("skip",)
+            leader_positions.append(k)
+        else:
+            best, best_j = None, None
+            for j in [0, *leader_positions]:
+                wl_j = 0 if j == 0 else instance.by_id[ordered.order[j - 1]].wl
+                block_wl, _ = follower_block(instance, ordered, j, k, setting)
+                tables.sol_leader_weight[(j, k)] = block_wl
+                value = opt[prev[j]] + wl_j + block_wl
+                if best is None or value > best:
+                    best, best_j = value, j
+            opt[k] = best
+            tables.choice[k] = ("block", best_j)
+    tables.opt = opt
+    return tables

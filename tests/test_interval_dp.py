@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bilevelis import interval_dp
 from bilevelis.brute import brute_bisel
 from bilevelis.core import (
     Interval,
@@ -22,6 +23,7 @@ from bilevelis.interval_dp import (
 )
 from bilevelis.randgen import gen_random_intervals
 from bilevelis.single_level import sort_and_index
+from helpers import reference_compute_tables
 
 OPT, PES = Setting.OPTIMISTIC, Setting.PESSIMISTIC
 LEAD, FOLL = Owner.LEADER, Owner.FOLLOWER
@@ -186,3 +188,50 @@ class TestTablesAndReconstruct:
                     if inst.by_id[order[k - 1]].owner is LEAD:
                         assert tables.opt[k] >= tables.opt[prev[k]]
                         assert tables.opt[k] >= tables.opt[k - 1]
+
+
+class TestSweepAgainstAllPairs:
+    def test_tables_equal_the_all_pairs_reference(self):
+        rng = random.Random(55)
+        for trial in range(600):
+            n = rng.randint(0, 40)
+            inst = gen_random_intervals(
+                n,
+                coord_max=max(1, n * rng.choice((1, 2, 4))),
+                leader_fraction=rng.random(),
+                max_weight=rng.choice((0, 1, 3, 9)),
+                seed=trial,
+            )
+            for setting in (OPT, PES):
+                tables = compute_tables(inst, setting)
+                reference = reference_compute_tables(inst, setting)
+                assert tables.opt == reference.opt, (trial, setting)
+                assert tables.choice == reference.choice, (trial, setting)
+                ordered = tables.sorted_intervals
+                for (j, k), cached in tables.sol_leader_weight.items():
+                    weight, _ = follower_block(inst, ordered, j, k, setting)
+                    assert weight == cached, (trial, setting, j, k)
+
+    def test_one_perturb_and_no_frank_dp_per_call(self, monkeypatch):
+        calls = {"perturb": 0, "frank_dp": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            interval_dp, "perturb", counted("perturb", interval_dp.perturb)
+        )
+        monkeypatch.setattr(
+            interval_dp, "frank_dp", counted("frank_dp", interval_dp.frank_dp)
+        )
+        for seed in range(5):
+            inst = gen_random_intervals(60, 120, 0.5, 9, seed=seed)
+            for setting in (OPT, PES):
+                calls.update(perturb=0, frank_dp=0)
+                tables = compute_tables(inst, setting)
+                assert calls == {"perturb": 1, "frank_dp": 0}
+                followers = sum(iv.owner is FOLL for iv in inst.intervals)
+                assert len(tables.sol_leader_weight) == followers

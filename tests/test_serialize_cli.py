@@ -337,6 +337,13 @@ class TestCli:
     def test_exit_code_bad_parameter(self):
         assert run_cli("bench", "--sizes", "20,10") == 2
 
+    @pytest.mark.parametrize("sizes", [",", "", " , "])
+    def test_bench_without_sizes(self, capsys, sizes):
+        assert run_cli("bench", "--sizes", sizes) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no sizes given\n"
+
     @pytest.mark.parametrize("command, instance", [
         (["brute", "--variant", "cs-ds-o"], g1()),
         (["brute", "--variant", "cs-ds-o", "--leader", "0"], g1()),
