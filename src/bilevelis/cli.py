@@ -182,7 +182,7 @@ def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     if not sizes:
         raise BadParameter("no sizes given")
-    rows = bench_dp(sizes, seed=args.seed, setting=_SETTINGS[args.setting])
+    rows = bench_dp(sizes, seed=args.seed)
     for n, ms in rows:
         sys.stdout.write(f"{n},{ms:.3f}\n")
     return 0
@@ -257,10 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("bench", help="time the interval solver")
+    p = sub.add_parser("bench", help="time the optimistic interval solver")
     p.add_argument("--sizes", required=True, help="comma-separated, ascending")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--setting", choices=["o", "p"], default="o")
     p.set_defaults(func=_cmd_bench)
 
     return parser

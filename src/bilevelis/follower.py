@@ -65,13 +65,21 @@ def react_intervals(
     return chosen
 
 
-def _free_follower_vertices(
-    graph: BisGraph, leader_set: frozenset[int]
-) -> list[int]:
-    return [
+def _free_followers(
+    graph: BisGraph, leader_set: Iterable[int]
+) -> tuple[frozenset[int], list[int]]:
+    """Check a graph leader action; return it with the follower vertices
+    not adjacent to it.  The empty action needs a nonempty joint solution,
+    so it is infeasible when the graph has no follower vertices."""
+    lset = frozenset(leader_set)
+    check_leader_action(graph, lset)
+    if not lset and not graph.follower_ids:
+        raise Infeasible("empty leader action with no follower vertices")
+    free = [
         v for v in graph.follower_ids
-        if graph.adjacency[v].isdisjoint(leader_set)
+        if graph.adjacency[v].isdisjoint(lset)
     ]
+    return lset, free
 
 
 def react_sum_graph(
@@ -84,11 +92,7 @@ def react_sum_graph(
     action the joint solution must be nonempty, so the reaction is forced
     nonempty (infeasible if the graph has no follower vertices at all).
     """
-    lset = frozenset(leader_set)
-    check_leader_action(graph, lset)
-    if not lset and not graph.follower_ids:
-        raise Infeasible("empty leader action with no follower vertices")
-    free = _free_follower_vertices(graph, lset)
+    lset, free = _free_followers(graph, leader_set)
     if not free:
         return frozenset()
     _, chosen = mwis_bipartite(
@@ -121,20 +125,14 @@ def react_bottleneck(
     """
     if variant.follower_obj is not Objective.BOTTLENECK:
         raise ValueError("react_bottleneck requires a bottleneck follower objective")
-    lset = frozenset(leader_set)
-    check_leader_action(graph, lset)
+    lset, free = _free_followers(graph, leader_set)
     optimistic = variant.setting is Setting.OPTIMISTIC
     leader_sum = variant.leader_obj is Objective.SUM
     if lset:
         cap = min(graph.item(v).wf for v in lset)
-    elif graph.follower_ids:
-        cap = max(graph.item(v).wf for v in graph.follower_ids)
     else:
-        raise Infeasible("empty leader action with no follower vertices")
-    eligible = [
-        v for v in _free_follower_vertices(graph, lset)
-        if graph.item(v).wf >= cap
-    ]
+        cap = max(graph.item(v).wf for v in graph.follower_ids)
+    eligible = [v for v in free if graph.item(v).wf >= cap]
     if not eligible:
         return frozenset()
     if leader_sum and optimistic:
@@ -163,11 +161,7 @@ def react_sum_graph_bottleneck(
     reaction contains.  Both scans need one independent-set computation per
     candidate, so they stay polynomial.
     """
-    lset = frozenset(leader_set)
-    check_leader_action(graph, lset)
-    if not lset and not graph.follower_ids:
-        raise Infeasible("empty leader action with no follower vertices")
-    free = _free_follower_vertices(graph, lset)
+    lset, free = _free_followers(graph, leader_set)
     if not free:
         return frozenset()
     target, _ = mwis_by_owner(graph, free, Owner.FOLLOWER)

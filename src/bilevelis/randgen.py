@@ -101,12 +101,9 @@ def gen_random_intervals(
     return IntervalInstance(tuple(intervals))
 
 
-def bench_dp(
-    sizes: Sequence[int],
-    seed: int = 0,
-    setting: Setting = Setting.OPTIMISTIC,
-) -> list[tuple[int, float]]:
-    """Wall-clock the interval solver on one random instance per size.
+def bench_dp(sizes: Sequence[int], seed: int = 0) -> list[tuple[int, float]]:
+    """Wall-clock the optimistic interval solver on one random instance
+    per size.
 
     Returns ``(n, milliseconds)`` rows; makes no assertion about growth.
     """
@@ -122,6 +119,6 @@ def bench_dp(
             seed=seed + n,
         )
         started = time.perf_counter()
-        solve_bisel(instance, setting)
+        solve_bisel(instance, Setting.OPTIMISTIC)
         rows.append((n, (time.perf_counter() - started) * 1000.0))
     return rows

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import BisGraph, Owner, Variant, Vertex
 from .errors import MalformedClause
@@ -72,20 +72,34 @@ class B2cnfFormula:
 @dataclass(frozen=True)
 class ReductionOutput:
     """A generated instance plus everything needed to interpret it:
-    the variants it targets, the per-variant decision threshold, and the
+    the per-variant decision threshold of each targeted variant, and the
     constants baked into the weights."""
 
     graph: BisGraph
-    targets: tuple[Variant, ...]
     thresholds: dict[Variant, int]
     constants: dict[str, int]
+
+    @property
+    def targets(self) -> tuple[Variant, ...]:
+        return tuple(self.thresholds)
 
     def threshold_for(self, variant: Variant) -> int:
         return self.thresholds[variant]
 
 
-def _variants(codes: Sequence[str]) -> tuple[Variant, ...]:
-    return tuple(Variant.from_code(c) for c in codes)
+def _output(
+    vertices: Sequence[Vertex],
+    edges: Iterable[tuple[int, int]],
+    thresholds_by_code: dict[str, int],
+    constants: dict[str, int],
+) -> ReductionOutput:
+    return ReductionOutput(
+        graph=BisGraph(tuple(vertices), tuple(edges)),
+        thresholds={
+            Variant.from_code(code): t for code, t in thresholds_by_code.items()
+        },
+        constants=constants,
+    )
 
 
 def _check_simple(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -168,19 +182,36 @@ def b2cnf_to_bis(formula: B2cnfFormula) -> ReductionOutput:
                 other = a(lit.var) if lit.negated else a_bar(lit.var)
             else:
                 other = b(lit.var) if lit.negated else b_bar(lit.var)
-            edges.add((min(slot(ci, t), other), max(slot(ci, t), other)))
+            edges.add((slot(ci, t), other))
 
-    graph = BisGraph(tuple(vertices), tuple(sorted(edges)))
-    sum_targets = _variants(["cs-ds-o", "cs-ds-p"])
-    bot_targets = _variants(["cb-ds-o", "cb-ds-p"])
-    thresholds = {v: M * n1 + R for v in sum_targets}
-    thresholds.update({v: 1 for v in bot_targets})
-    return ReductionOutput(
-        graph=graph,
-        targets=sum_targets + bot_targets,
-        thresholds=thresholds,
-        constants={"M": M, "R": R},
-    )
+    thresholds = dict.fromkeys(["cs-ds-o", "cs-ds-p"], M * n1 + R)
+    thresholds.update(dict.fromkeys(["cb-ds-o", "cb-ds-p"], 1))
+    return _output(vertices, edges, thresholds, {"M": M, "R": R})
+
+
+def _copy_classes(
+    n: int, edges: Sequence[tuple[int, int]], k: int
+) -> tuple[list[Vertex], list[tuple[int, int]]]:
+    """The core both vertex-cover constructions share.
+
+    Copy ``c`` of source vertex ``v`` is leader vertex ``c*n + v`` and
+    source edge ``j`` is follower vertex ``k*n + j``, adjacent to every
+    copy of both its endpoints.  Copies weigh 1 for both players, edge
+    vertices 0 for the leader and 1 for the follower.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    simple = _check_simple(n, edges)
+    vertices = []
+    for c in range(k):
+        for v in range(n):
+            vertices.append(Vertex(c * n + v, _L, wl=1, wf=1))
+    out_edges = []
+    for j, (u, v) in enumerate(simple):
+        vertices.append(Vertex(k * n + j, _F, wl=0, wf=1))
+        for c in range(k):
+            out_edges += [(c * n + u, k * n + j), (c * n + v, k * n + j)]
+    return vertices, out_edges
 
 
 def vc_to_bis(n: int, edges: Sequence[tuple[int, int]], k: int) -> ReductionOutput:
@@ -195,34 +226,11 @@ def vc_to_bis(n: int, edges: Sequence[tuple[int, int]], k: int) -> ReductionOutp
     edge vertex to grab.  All follower weights are equal, so their common
     value collapses to 1.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    simple = _check_simple(n, edges)
-    m = len(simple)
-    vertices = []
-    for copy in range(k):
-        for v in range(n):
-            vertices.append(Vertex(copy * n + v, _L, wl=1, wf=1))
-    for j in range(m):
-        vertices.append(Vertex(k * n + j, _F, wl=0, wf=1))
-
-    out_edges = set()
-    for copy in range(k):
+    vertices, out_edges = _copy_classes(n, edges, k)
+    for c in range(k):
         for u, v in combinations(range(n), 2):
-            out_edges.add((copy * n + u, copy * n + v))
-    for j, (u, v) in enumerate(simple):
-        for copy in range(k):
-            out_edges.add((copy * n + u, k * n + j))
-            out_edges.add((copy * n + v, k * n + j))
-
-    graph = BisGraph(tuple(vertices), tuple(sorted(out_edges)))
-    targets = _variants(["cb-db-p"])
-    return ReductionOutput(
-        graph=graph,
-        targets=targets,
-        thresholds={targets[0]: 1},
-        constants={"M": 1},
-    )
+            out_edges.append((c * n + u, c * n + v))
+    return _output(vertices, out_edges, {"cb-db-p": 1}, {"M": 1})
 
 
 def planar_vc_to_bipartite_bis(
@@ -277,13 +285,9 @@ def planar_vc_to_bipartite_bis(
         out_edges.add((selector(u), guard(j)))
         out_edges.add((selector(v), guard(j)))
 
-    graph = BisGraph(tuple(vertices), tuple(sorted(out_edges)))
-    targets = _variants(["cs-ds-o", "cs-ds-p"])
-    return ReductionOutput(
-        graph=graph,
-        targets=targets,
-        thresholds={v: m * M + n - k for v in targets},
-        constants={"M": M},
+    threshold = m * M + n - k
+    return _output(
+        vertices, out_edges, {"cs-ds-o": threshold, "cs-ds-p": threshold}, {"M": M}
     )
 
 
@@ -297,59 +301,22 @@ def vc_to_bipartite_bis(
     follower trap: copy - gate - trap - gate - copy.  Playing two copies of
     one class forfeits both their gates and hands the pessimistic (or any
     sum-objective) follower the trap between them, so classes still act as
-    at-most-one choices while all odd cycles disappear.
+    at-most-one choices while all odd cycles disappear.  The gate of copy
+    ``c*n + v`` is ``k*n + m + c*n + v``; traps follow from ``2*k*n + m``
+    in ``(copy, u, v)`` order.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    simple = _check_simple(n, edges)
-    m = len(simple)
-
-    def copy_id(copy, v):
-        return copy * n + v
-
-    def edge_vertex(j):
-        return k * n + j
-
-    def gate(copy, v):  # leader gate attached to each copy vertex
-        return k * n + m + copy * n + v
-
-    trap_base = 2 * k * n + m
-    traps: dict[tuple[int, int, int], int] = {}
-    for copy in range(k):
+    vertices, out_edges = _copy_classes(n, edges, k)
+    gate = len(vertices)
+    for x in range(k * n):
+        vertices.append(Vertex(gate + x, _L, wl=1, wf=1))
+        out_edges.append((x, gate + x))
+    for c in range(k):
         for u, v in combinations(range(n), 2):
-            traps[(copy, u, v)] = trap_base + len(traps)
-
-    vertices = []
-    for copy in range(k):
-        for v in range(n):
-            vertices.append(Vertex(copy_id(copy, v), _L, wl=1, wf=1))
-    for j in range(m):
-        vertices.append(Vertex(edge_vertex(j), _F, wl=0, wf=1))
-    for copy in range(k):
-        for v in range(n):
-            vertices.append(Vertex(gate(copy, v), _L, wl=1, wf=1))
-    for t in range(len(traps)):
-        vertices.append(Vertex(trap_base + t, _F, wl=0, wf=1))
-
-    out_edges = set()
-    for j, (u, v) in enumerate(simple):
-        for copy in range(k):
-            out_edges.add((copy_id(copy, u), edge_vertex(j)))
-            out_edges.add((copy_id(copy, v), edge_vertex(j)))
-    for copy in range(k):
-        for v in range(n):
-            out_edges.add((copy_id(copy, v), gate(copy, v)))
-    for (copy, u, v), trap in traps.items():
-        out_edges.add((gate(copy, u), trap))
-        out_edges.add((gate(copy, v), trap))
-
-    graph = BisGraph(tuple(vertices), tuple(sorted(out_edges)))
-    targets = _variants(["cb-db-p", "cb-ds-o", "cb-ds-p"])
-    return ReductionOutput(
-        graph=graph,
-        targets=targets,
-        thresholds={v: 1 for v in targets},
-        constants={"M": 1},
+            trap = len(vertices)
+            vertices.append(Vertex(trap, _F, wl=0, wf=1))
+            out_edges += [(gate + c * n + u, trap), (gate + c * n + v, trap)]
+    return _output(
+        vertices, out_edges, {"cb-db-p": 1, "cb-ds-o": 1, "cb-ds-p": 1}, {"M": 1}
     )
 
 
@@ -359,13 +326,7 @@ def is_to_bis(n: int, edges: Sequence[tuple[int, int]], k: int) -> ReductionOutp
     whether a leader action of total weight ``k`` exists."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    simple = _check_simple(n, edges)
-    vertices = tuple(Vertex(v, _L, wl=1, wf=1) for v in range(n))
-    graph = BisGraph(vertices, tuple(simple))
-    targets = _variants(["cs-db-o", "cs-db-p"])
-    return ReductionOutput(
-        graph=graph,
-        targets=targets,
-        thresholds={v: k for v in targets},
-        constants={},
+    vertices = [Vertex(v, _L, wl=1, wf=1) for v in range(n)]
+    return _output(
+        vertices, _check_simple(n, edges), {"cs-db-o": k, "cs-db-p": k}, {}
     )

@@ -1,10 +1,12 @@
+import hashlib
+import random
 from itertools import combinations
 
 import pytest
 
 from bilevelis.brute import brute_force, decide_b2cnf_brute, decide_vc_brute
 from bilevelis.core import Owner, Variant
-from bilevelis.errors import MalformedClause
+from bilevelis.errors import MalformedClause, SolverError
 from bilevelis.reductions import (
     B2cnfFormula,
     Literal,
@@ -14,6 +16,7 @@ from bilevelis.reductions import (
     vc_to_bipartite_bis,
     vc_to_bis,
 )
+from bilevelis.serialize import dumps, graph_to_dict
 from bilevelis.single_level import is_bipartite
 
 V = Variant.from_code
@@ -230,3 +233,77 @@ class TestFormulaValidation:
     def test_negative_variable_count(self, n1, n2, field):
         with pytest.raises(ValueError, match=f"{field} must be non-negative"):
             B2cnfFormula(n1, n2, ())
+
+
+GRAPH_BUILDERS = (
+    vc_to_bis, vc_to_bipartite_bis, planar_vc_to_bipartite_bis, is_to_bis
+)
+GOLDEN_DIGEST = (
+    "0ff72392844d305e357d8418b51d57e7"
+    "bc2fc83af61792fbf40adcda94df5f61"
+)
+
+
+def _run_digest(build) -> str:
+    """sha256 of everything a generator emits, or of the error it raises."""
+    try:
+        out = build()
+    except (ValueError, SolverError) as exc:
+        record = repr((type(exc).__name__, str(exc)))
+    else:
+        record = dumps({
+            "graph": graph_to_dict(out.graph),
+            "targets": [v.code for v in out.targets],
+            "thresholds": {v.code: t for v, t in out.thresholds.items()},
+            "constants": out.constants,
+        })
+    return hashlib.sha256(record.encode()).hexdigest()
+
+
+def _golden_sources(rng):
+    """Seeded vertex-cover sources: shuffled and flipped edges, plus a few
+    with a self-loop, an out-of-range endpoint or a duplicate edge."""
+    for trial in range(60):
+        n = rng.randint(0, 6)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [p for p in pairs if rng.random() < 0.4]
+        rng.shuffle(edges)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        if trial % 5 == 4:
+            bad = [(0, 0), (0, n), (-1, 0), edges[0][::-1] if edges else (n, n)]
+            edges.append(bad[trial // 5 % 4])
+        yield n, edges
+
+
+def _golden_formulas(rng):
+    for _ in range(40):
+        n1, n2 = rng.randint(0, 3), rng.randint(0, 3)
+        sides = [s for s, n in (("X", n1), ("Y", n2)) if n]
+        clauses = []
+        for _ in range(rng.randint(0, 3) if sides else 0):
+            clause = []
+            for _ in range(3):
+                side = rng.choice(sides)
+                var = rng.randint(1, n1 if side == "X" else n2)
+                clause.append(Literal(side, var, rng.random() < 0.5))
+            clauses.append(tuple(clause))
+        yield B2cnfFormula(n1, n2, tuple(clauses))
+
+
+class TestGoldenOutput:
+    """Pins every vertex id, weight, edge, threshold and constant the five
+    generators emit on a seeded sweep, and the type and message of every
+    error they raise.  The soundness checks above only compare threshold
+    decisions, so they would miss a renumbered vertex or a changed weight."""
+
+    def test_digest_of_all_generators(self):
+        rng = random.Random(20261018)
+        digests = []
+        for n, edges in _golden_sources(rng):
+            for build in GRAPH_BUILDERS:
+                for k in (-1, 0, 1, 2, 3):
+                    digests.append(_run_digest(lambda: build(n, edges, k)))
+        for formula in _golden_formulas(rng):
+            digests.append(_run_digest(lambda: b2cnf_to_bis(formula)))
+        combined = hashlib.sha256("\n".join(digests).encode()).hexdigest()
+        assert combined == GOLDEN_DIGEST

@@ -64,6 +64,23 @@ def interval_instances(draw):
     return IntervalInstance(tuple(intervals))
 
 
+@st.composite
+def b2cnf_formulas(draw):
+    n1, n2 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    sides = [side for side, n in (("X", n1), ("Y", n2)) if n]
+    if not sides:
+        return B2cnfFormula(n1, n2, ())
+
+    @st.composite
+    def literals(draw):
+        side = draw(st.sampled_from(sides))
+        var = draw(st.integers(1, n1 if side == "X" else n2))
+        return Literal(side, var, draw(st.booleans()))
+
+    clauses = draw(st.lists(st.tuples(literals(), literals(), literals()), max_size=4))
+    return B2cnfFormula(n1, n2, tuple(clauses))
+
+
 class TestRoundTrips:
     @given(graphs())
     def test_graph(self, graph):
@@ -76,6 +93,18 @@ class TestRoundTrips:
     def test_outcome(self):
         out = BilevelOutcome(frozenset({0, 2}), frozenset({1}), 7, 8)
         assert outcome_from_dict(outcome_to_dict(out)) == out
+
+    @given(
+        st.frozensets(st.integers()), st.frozensets(st.integers()),
+        st.integers(), st.integers(),
+    )
+    def test_outcome_round_trips(self, leader_set, follower_set, lv, fv):
+        out = BilevelOutcome(leader_set, follower_set, lv, fv)
+        assert outcome_from_dict(outcome_to_dict(out)) == out
+
+    @given(b2cnf_formulas())
+    def test_b2cnf_round_trips(self, formula):
+        assert b2cnf_from_dict(b2cnf_to_dict(formula)) == formula
 
     def test_b2cnf(self):
         formula = B2cnfFormula(
