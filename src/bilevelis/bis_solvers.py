@@ -10,6 +10,7 @@ follower's reaction to a claimed leader action and compare values.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 from .core import (
@@ -125,12 +126,46 @@ def _oracle_reaction(
 
 def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
     """Best outcome over every feasible leader action, each answered by the
-    follower oracle.  Exponential only in the number of leader vertices."""
-    leader_ids = list(graph.leader_ids)
+    follower oracle.  Exponential only in the number of leader vertices.
+
+    A depth-first search visits the actions as sorted leader tuples in
+    lexicographic order.  Its node ``(chosen, start)`` stands for the
+    action ``chosen`` and every extension of it by compatible leaders at
+    index ``start`` or later.  The search skips a node, and its whole
+    subtree, when an upper bound on the leader's value over the subtree is
+    at most the incumbent's value:
+
+    * sum leader: ``wl(chosen)``, plus ``wl`` of the leaders at index
+      ``start`` or later that are not adjacent to ``chosen``, plus ``wl``
+      of the followers not adjacent to ``chosen``, from which every
+      reaction is drawn.  Under ``cs-db-p`` the follower term is dropped
+      once ``chosen`` is nonempty, since ``react_bottleneck`` answers every
+      nonempty action with the empty set;
+    * bottleneck leader, ``chosen`` nonempty: ``min wl(chosen)``, because
+      extending the action or adding a reaction only lowers the minimum.
+
+    The output is that of visiting every action.  The incumbent changes
+    only on a strictly larger value, or on an equal value with a smaller
+    (leader tuple, reaction tuple), and every action the search reaches
+    later has a larger leader tuple; so a skipped action could at best tie
+    and lose.  Nor can a skipped action hide an ``OracleUnavailable``:
+    only a sum follower's oracle raises it, on an odd cycle among the
+    followers an action leaves free, and the empty action, asked first and
+    never skipped, leaves them all free.  The bound only falls as ``start``
+    grows, so a node stops trying further leaders at the first index whose
+    bound is beaten.  The search keeps an explicit stack, so a large action
+    cannot exhaust the recursion limit.
+    """
+    leaders = graph.leader_ids
+    wl = [v.wl for v in graph.vertices]
+    sum_leader = variant.leader_obj is Objective.SUM
+    chosen: list[int] = []
+    blocked = [0] * len(graph)  # per vertex: its neighbors in `chosen`
     best: tuple | None = None
 
-    def consider(leader_set: frozenset[int]) -> None:
+    def consider() -> None:
         nonlocal best
+        leader_set = frozenset(chosen)
         try:
             reaction = _oracle_reaction(graph, leader_set, variant)
         except Infeasible:
@@ -138,22 +173,58 @@ def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
         value = evaluate(
             variant.leader_obj, Owner.LEADER, leader_set | reaction, graph
         )
-        cand = (value, tuple(sorted(leader_set)), tuple(sorted(reaction)))
+        cand = (value, tuple(chosen), tuple(sorted(reaction)))
         if best is None or cand[0] > best[0] or (
             cand[0] == best[0] and cand[1:] < best[1:]
         ):
             best = cand
 
-    def extend(start: int, chosen: list[int]) -> None:
-        consider(frozenset(chosen))
-        for i in range(start, len(leader_ids)):
-            v = leader_ids[i]
-            if not any(u in graph.adjacency[v] for u in chosen):
-                chosen.append(v)
-                extend(i + 1, chosen)
-                chosen.pop()
+    def bound(start: int) -> float:
+        """The upper bound of the node (``chosen``, ``start``)."""
+        if not sum_leader:
+            return min((wl[v] for v in chosen), default=math.inf)
+        free = leaders[start:]
+        if not chosen or variant != _CS_DB_P:
+            free += graph.follower_ids
+        return sum(wl[v] for v in chosen) + sum(
+            wl[u] for u in free if not blocked[u]
+        )
 
-    extend(0, [])
+    def beaten(limit: float) -> bool:
+        return best is not None and limit <= best[0]
+
+    def push(v: int) -> None:
+        chosen.append(v)
+        for u in graph.adjacency[v]:
+            blocked[u] += 1
+
+    def pop() -> None:
+        for u in graph.adjacency[chosen.pop()]:
+            blocked[u] -= 1
+
+    consider()
+    stack = [[0, bound(0)]]  # per node on the path: next index, its bound
+    while stack:
+        frame = stack[-1]
+        i, limit = frame
+        if i == len(leaders) or beaten(limit):
+            stack.pop()
+            if stack:
+                pop()
+            continue
+        v = leaders[i]
+        frame[0] = i + 1
+        if blocked[v]:
+            continue
+        if sum_leader:
+            frame[1] -= wl[v]  # the bound from index i + 1 lacks v
+        push(v)
+        limit = bound(i + 1)
+        if beaten(limit):
+            pop()
+            continue
+        consider()
+        stack.append([i + 1, limit])
     if best is None:
         raise Infeasible("no feasible leader/follower pair exists")
     return make_outcome(graph, variant, best[1], best[2])

@@ -10,16 +10,22 @@ from __future__ import annotations
 import random
 from itertools import combinations, combinations_with_replacement
 
+from bilevelis.bis_solvers import _oracle_reaction
 from bilevelis.core import (
+    BilevelOutcome,
     BisGraph,
     CompositeWeight,
     IntervalInstance,
     Owner,
+    Variant,
     Vertex,
+    evaluate,
     intervals_pairwise_disjoint,
     is_independent,
+    make_outcome,
     weight_sum,
 )
+from bilevelis.errors import Infeasible
 from bilevelis.interval_dp import DpTables, follower_block
 from bilevelis.reductions import B2cnfFormula, Literal
 from bilevelis.single_level import sort_and_index
@@ -182,3 +188,40 @@ def reference_compute_tables(instance: IntervalInstance, setting) -> DpTables:
             tables.choice[k] = ("block", best_j)
     tables.opt = opt
     return tables
+
+
+def reference_solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
+    """Best outcome over every feasible leader action, each answered by the
+    follower oracle.  Exponential only in the number of leader vertices.
+    The unpruned slow reference for ``solve_enum_leader``."""
+    leader_ids = list(graph.leader_ids)
+    best: tuple | None = None
+
+    def consider(leader_set: frozenset[int]) -> None:
+        nonlocal best
+        try:
+            reaction = _oracle_reaction(graph, leader_set, variant)
+        except Infeasible:
+            return
+        value = evaluate(
+            variant.leader_obj, Owner.LEADER, leader_set | reaction, graph
+        )
+        cand = (value, tuple(sorted(leader_set)), tuple(sorted(reaction)))
+        if best is None or cand[0] > best[0] or (
+            cand[0] == best[0] and cand[1:] < best[1:]
+        ):
+            best = cand
+
+    def extend(start: int, chosen: list[int]) -> None:
+        consider(frozenset(chosen))
+        for i in range(start, len(leader_ids)):
+            v = leader_ids[i]
+            if not any(u in graph.adjacency[v] for u in chosen):
+                chosen.append(v)
+                extend(i + 1, chosen)
+                chosen.pop()
+
+    extend(0, [])
+    if best is None:
+        raise Infeasible("no feasible leader/follower pair exists")
+    return make_outcome(graph, variant, best[1], best[2])
