@@ -4,6 +4,11 @@ Every routine enumerates its full feasible space; the only liberties taken
 are bitmask conflict tests and running objective values, which keep the
 enumeration affordable without pruning any candidate.  Caps are explicit
 parameters so oversized inputs fail loudly instead of silently truncating.
+
+Both levels of the bilevel enumeration run on one search, ``_extensions``,
+which visits sets in increasing order of their sorted id tuples.  The last
+tie-break of every oracle, "smallest id tuple wins", is therefore "first
+visited wins": an incumbent is replaced only by a strictly better candidate.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     BilevelOutcome,
@@ -24,8 +29,9 @@ from .core import (
     Variant,
     check_leader_action,
     make_outcome,
+    to_interval_graph,
 )
-from .errors import CapExceeded, Infeasible, UnknownId
+from .errors import CapExceeded, Infeasible
 from .reductions import B2cnfFormula
 
 FOLLOWER_CAP = 22
@@ -46,7 +52,11 @@ def _check_cap(size: int, cap: int, what: str) -> None:
 
 @dataclass
 class _Ground:
-    """Items flattened to positions with bitmask conflict sets."""
+    """Items flattened to positions with bitmask conflict sets.
+
+    Position ``p`` holds the ``p``-th smallest id (on graphs, whose ids are
+    dense from 0, the id itself), so increasing positions are increasing ids.
+    """
 
     ids: list[int]
     pos: dict[int, int]
@@ -59,24 +69,18 @@ class _Ground:
     @classmethod
     def build(cls, instance: Instance) -> "_Ground":
         if isinstance(instance, BisGraph):
-            items = list(instance.vertices)
+            graph, ids = instance, list(instance.ids)
         else:
-            items = sorted(instance.intervals, key=lambda iv: iv.id)
-        ids = [it.id for it in items]
-        pos = {iid: p for p, iid in enumerate(ids)}
-        conflict = [0] * len(items)
-        if isinstance(instance, BisGraph):
-            for u, v in instance.edges:
-                conflict[pos[u]] |= 1 << pos[v]
-                conflict[pos[v]] |= 1 << pos[u]
-        else:
-            for a, b in combinations(range(len(items)), 2):
-                if items[a].overlaps(items[b]):
-                    conflict[a] |= 1 << b
-                    conflict[b] |= 1 << a
+            graph = to_interval_graph(instance)
+            ids = sorted(iv.id for iv in instance.intervals)
+        conflict = [0] * len(ids)
+        for u, v in graph.edges:
+            conflict[u] |= 1 << v
+            conflict[v] |= 1 << u
+        items = graph.vertices
         return cls(
             ids=ids,
-            pos=pos,
+            pos={iid: p for p, iid in enumerate(ids)},
             conflict=conflict,
             wl=[it.wl for it in items],
             wf=[it.wf for it in items],
@@ -91,78 +95,85 @@ class _Ground:
     def ids_of(self, mask: int) -> tuple[int, ...]:
         return tuple(self.ids[p] for p in range(len(self.ids)) if mask >> p & 1)
 
-    def mask_of(self, ids: Iterable[int]) -> int:
-        mask = 0
-        for iid in ids:
-            if iid not in self.pos:
-                raise UnknownId(f"no item with id {iid}")
-            mask |= 1 << self.pos[iid]
-        return mask
+    def state(self, positions: list[int], variant: Variant) -> tuple:
+        """``(mask, d, c)`` of the set at ``positions``: its bitmask and its
+        follower and leader values (a sum, or a minimum that is +infinity
+        over nothing)."""
+        d, c = ([w[p] for p in positions] for w in (self.wf, self.wl))
+        return (
+            sum(1 << p for p in positions),
+            sum(d) if variant.follower_obj is Objective.SUM
+            else min(d, default=math.inf),
+            sum(c) if variant.leader_obj is Objective.SUM
+            else min(c, default=math.inf),
+        )
 
 
-def _best_reaction(
-    ground: _Ground,
-    leader_mask: int,
-    variant: Variant,
-    require_nonempty: bool,
-) -> tuple | None:
-    """Enumerate every follower reaction compatible with the leader mask.
+def _extensions(
+    ground: _Ground, positions: Sequence[int], start: tuple, variant: Variant
+) -> Iterator[tuple]:
+    """Every extension of the set ``start = (mask, d, c)`` by a subset of
+    ``positions`` that keeps it conflict-free, as ``(mask, d, c)`` with the
+    running follower and leader values (sum or min, per the variant).
 
-    Returns ``(d, c, mask)`` of the follower-optimal reaction, where ties
-    on the follower value are broken on the leader value per the setting
-    and remaining ties on the smallest id tuple.  ``None`` when no
-    admissible reaction exists.  Bottleneck values over an empty union are
-    treated as +infinity (the minimum over nothing beats everything).
+    Pre-order search: a set comes before its extensions, and an extension
+    adding position ``p`` first before one whose smallest added position is
+    larger.  That is increasing order of the added positions' sorted tuple,
+    hence of their sorted id tuple.  Each entry of the stack carries the
+    bitmask of positions its set may still add: larger than its last one
+    and conflict-free with it.
     """
     d_sum = variant.follower_obj is Objective.SUM
     c_sum = variant.leader_obj is Objective.SUM
-    optimistic = variant.setting is Setting.OPTIMISTIC
     wl, wf, conflict = ground.wl, ground.wf, ground.conflict
+    free = sum(1 << p for p in positions if not conflict[p] & start[0])
+    stack = [(free, *start)]
+    while stack:
+        free, mask, d, c = stack.pop()
+        yield mask, d, c
+        later = 0  # children are pushed largest position first
+        while free:
+            p = free.bit_length() - 1
+            bit = 1 << p
+            free ^= bit
+            f, w = wf[p], wl[p]
+            stack.append((
+                later & ~conflict[p],
+                mask | bit,
+                d + f if d_sum else (f if f < d else d),
+                c + w if c_sum else (w if w < c else c),
+            ))
+            later |= bit
 
-    lead = [p for p in range(len(ground.ids)) if leader_mask >> p & 1]
-    d0 = sum(wf[p] for p in lead) if d_sum else min(
-        (wf[p] for p in lead), default=math.inf
-    )
-    c0 = sum(wl[p] for p in lead) if c_sum else min(
-        (wl[p] for p in lead), default=math.inf
-    )
-    free = [
-        p for p in ground.follower_positions if not conflict[p] & leader_mask
-    ]
 
-    best: list = [None]
+def _best_reaction(
+    ground: _Ground, action: tuple, variant: Variant, require_nonempty: bool
+) -> tuple | None:
+    """Enumerate every follower reaction compatible with the leader action
+    ``(mask, d, c)``.
 
-    def consider(d_val, c_val, mask):
-        if require_nonempty and not mask and not leader_mask:
-            return
-        inc = best[0]
-        if inc is None:
-            best[0] = (d_val, c_val, mask)
-            return
-        if d_val != inc[0]:
-            if d_val > inc[0]:
-                best[0] = (d_val, c_val, mask)
-            return
-        if c_val != inc[1]:
-            if (c_val > inc[1]) if optimistic else (c_val < inc[1]):
-                best[0] = (d_val, c_val, mask)
-            return
-        if ground.ids_of(mask) < ground.ids_of(inc[2]):
-            best[0] = (d_val, c_val, mask)
-
-    def visit(idx, mask, d_val, c_val):
-        if idx == len(free):
-            consider(d_val, c_val, mask)
-            return
-        visit(idx + 1, mask, d_val, c_val)
-        p = free[idx]
-        if not conflict[p] & mask:
-            nd = d_val + wf[p] if d_sum else min(d_val, wf[p])
-            nc = c_val + wl[p] if c_sum else min(c_val, wl[p])
-            visit(idx + 1, mask | 1 << p, nd, nc)
-
-    visit(0, 0, d0, c0)
-    return best[0]
+    Returns ``(c, follower mask)`` of the follower-optimal reaction: the
+    largest follower value, ties broken on the leader value per the setting.
+    Reactions are visited in increasing id-tuple order and only a strict
+    improvement replaces the incumbent, so remaining ties go to the smallest
+    id tuple.  ``None`` when no admissible reaction exists.  Bottleneck
+    values over an empty union are +infinity (the minimum over nothing beats
+    everything).
+    """
+    optimistic = variant.setting is Setting.OPTIMISTIC
+    best = None
+    for mask, d, c in _extensions(
+        ground, ground.follower_positions, action, variant
+    ):
+        if require_nonempty and not mask:
+            continue
+        if (
+            best is None
+            or d > best_d
+            or d == best_d and (c > best_c if optimistic else c < best_c)
+        ):
+            best, best_d, best_c = mask, d, c
+    return None if best is None else (best_c, best ^ action[0])
 
 
 def brute_follower(
@@ -175,59 +186,42 @@ def brute_follower(
 
     Maximizes the follower's objective over all feasible completions,
     breaking ties on the leader's value (their way round per the setting)
-    and finally on the smallest id tuple.  Graph instances forbid an empty
-    union, so the empty leader action must be answered nonempty.
+    and finally on the smallest id tuple, the first one visited.  Graph
+    instances forbid an empty union, so the empty leader action must be
+    answered nonempty.
     """
     lset = frozenset(leader_set)
     _check_cap(len(instance.follower_ids), cap, "follower items")
     check_leader_action(instance, lset)
     ground = _Ground.build(instance)
-    lmask = ground.mask_of(lset)
+    action = ground.state([ground.pos[i] for i in lset], variant)
     nonempty = isinstance(instance, BisGraph)
-    best = _best_reaction(ground, lmask, variant, require_nonempty=nonempty)
+    best = _best_reaction(ground, action, variant, require_nonempty=nonempty)
     if best is None:
         raise Infeasible("the follower has no admissible reaction")
-    return frozenset(ground.ids_of(best[2]))
-
-
-def _enumerate_leader(ground: _Ground):
-    """Yield every mask of a pairwise-compatible leader subset."""
-    lead = ground.leader_positions
-    conflict = ground.conflict
-
-    def extend(start: int, mask: int):
-        yield mask
-        for i in range(start, len(lead)):
-            p = lead[i]
-            if not conflict[p] & mask:
-                yield from extend(i + 1, mask | 1 << p)
-
-    yield from extend(0, 0)
+    return frozenset(ground.ids_of(best[1]))
 
 
 def _optimum(
     instance: Instance, variant: Variant, require_nonempty: bool
 ) -> BilevelOutcome:
     """Best leader value over every leader action answered by its
-    follower-optimal reaction; ties go to the smallest (leader ids,
-    follower ids) pair."""
+    follower-optimal reaction.  Leader actions are visited in increasing
+    id-tuple order and only a strictly larger leader value replaces the
+    incumbent, so ties go to the smallest (leader ids, follower ids) pair
+    (each leader action has one reaction)."""
     ground = _Ground.build(instance)
-    best = None  # (c, d, leader ids, follower ids)
-    for lmask in _enumerate_leader(ground):
-        reaction = _best_reaction(ground, lmask, variant, require_nonempty)
-        if reaction is None:
-            continue
-        d_val, c_val, fmask = reaction
-        cand = (c_val, d_val, ground.ids_of(lmask), ground.ids_of(fmask))
-        if (
-            best is None
-            or cand[0] > best[0]
-            or (cand[0] == best[0] and cand[2:] < best[2:])
-        ):
-            best = cand
+    empty = ground.state([], variant)
+    best = None  # (c, leader mask, follower mask)
+    for action in _extensions(ground, ground.leader_positions, empty, variant):
+        reaction = _best_reaction(ground, action, variant, require_nonempty)
+        if reaction is not None and (best is None or reaction[0] > best[0]):
+            best = (reaction[0], action[0], reaction[1])
     if best is None:
         raise Infeasible("no feasible leader/follower pair exists")
-    return make_outcome(instance, variant, best[2], best[3])
+    return make_outcome(
+        instance, variant, ground.ids_of(best[1]), ground.ids_of(best[2])
+    )
 
 
 def brute_force(

@@ -11,7 +11,7 @@ import json
 import sys
 
 from .bis_solvers import solve, verify_certificate
-from .brute import BISEL_CAP, FORCE_CAP, brute_bisel, brute_follower, brute_force
+from .brute import BISEL_CAP, FOLLOWER_CAP, FORCE_CAP, brute_bisel, brute_follower, brute_force
 from .core import BisGraph, IntervalInstance, Setting, Variant, make_outcome
 from .errors import BadParameter, CapExceeded, Infeasible, SolverError
 from .follower import react
@@ -96,10 +96,12 @@ def _cmd_brute(args) -> int:
     variant = Variant.from_code(args.variant)
     if args.leader is not None:
         leader_set = _parse_ids(args.leader)
-        reaction = brute_follower(graph, leader_set, variant, cap=args.cap)
+        cap = FOLLOWER_CAP if args.cap is None else args.cap
+        reaction = brute_follower(graph, leader_set, variant, cap=cap)
         outcome = make_outcome(graph, variant, leader_set, reaction)
     else:
-        outcome = brute_force(graph, variant, cap=args.cap)
+        cap = FORCE_CAP if args.cap is None else args.cap
+        outcome = brute_force(graph, variant, cap=cap)
     _emit(outcome_to_dict(outcome), args.output)
     return 0
 
@@ -219,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("brute", help="exhaustive graph oracle")
     p.add_argument("--variant", required=True)
     p.add_argument("--leader", help="if given, only the follower reaction is enumerated")
-    p.add_argument("--cap", type=int, default=FORCE_CAP)
+    p.add_argument("--cap", type=int, help=f"default {FORCE_CAP}, {FOLLOWER_CAP} with --leader")
     add_common(p)
     p.set_defaults(func=_cmd_brute)
 

@@ -7,6 +7,7 @@ materialized candidate lists.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations, combinations_with_replacement
 
@@ -16,7 +17,9 @@ from bilevelis.core import (
     BisGraph,
     CompositeWeight,
     IntervalInstance,
+    Objective,
     Owner,
+    Setting,
     Variant,
     Vertex,
     evaluate,
@@ -59,6 +62,56 @@ def reference_mwis(graph: BisGraph, weight, restrict):
         if val > best_val:
             best_val, best_set = val, subset
     return best_val, best_set
+
+
+def _union_value(instance, obj: Objective, role: Owner, union) -> float:
+    """``evaluate``, except that a bottleneck over nothing is +infinity."""
+    if not union and obj is Objective.BOTTLENECK:
+        return math.inf
+    return evaluate(obj, role, union, instance)
+
+
+def _feasible(instance, selection) -> bool:
+    if isinstance(instance, BisGraph):
+        return is_independent(instance, selection)
+    return intervals_pairwise_disjoint(instance, selection)
+
+
+def reference_reaction(instance, action, variant: Variant, require_nonempty):
+    """Smallest sorted id tuple among the follower-optimal reactions to
+    ``action``: the largest follower value, then the leader value per the
+    setting.  ``None`` when no reaction is admissible."""
+    sign = 1 if variant.setting is Setting.OPTIMISTIC else -1
+    keyed = []
+    for reaction in powerset(instance.follower_ids):
+        union = action | reaction
+        if _feasible(instance, union) and (union or not require_nonempty):
+            d = _union_value(instance, variant.follower_obj, Owner.FOLLOWER, union)
+            c = _union_value(instance, variant.leader_obj, Owner.LEADER, union)
+            keyed.append(((d, sign * c), tuple(sorted(reaction))))
+    if not keyed:
+        return None
+    top = max(key for key, _ in keyed)
+    return min(ids for key, ids in keyed if key == top)
+
+
+def reference_optimum(instance, variant: Variant, require_nonempty):
+    """Smallest ``(leader ids, follower ids)`` pair among the leader-optimal
+    ones, each feasible leader action answered by ``reference_reaction``.
+    ``None`` when no pair is feasible."""
+    pairs = []
+    for action in powerset(instance.leader_ids):
+        if not _feasible(instance, action):
+            continue
+        reaction = reference_reaction(instance, action, variant, require_nonempty)
+        if reaction is not None:
+            union = action | set(reaction)
+            value = _union_value(instance, variant.leader_obj, Owner.LEADER, union)
+            pairs.append((value, tuple(sorted(action)), reaction))
+    if not pairs:
+        return None
+    top = max(value for value, _, _ in pairs)
+    return min(pair[1:] for pair in pairs if pair[0] == top)
 
 
 def deep_follower_path(n: int) -> BisGraph:

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -27,13 +28,20 @@ from bilevelis.errors import CapExceeded, Infeasible, MalformedClause
 from bilevelis.fixtures import g1, g2, i1, i2
 from bilevelis.randgen import gen_random_graph, gen_random_intervals
 from bilevelis.reductions import B2cnfFormula, Literal
-from helpers import powerset, random_leader_action
+from helpers import (
+    powerset,
+    random_leader_action,
+    reference_optimum,
+    reference_reaction,
+)
 
 V = Variant.from_code
 OPT, PES = Setting.OPTIMISTIC, Setting.PESSIMISTIC
 LEAD, FOLL = Owner.LEADER, Owner.FOLLOWER
 
 K3_EDGES = [(0, 1), (1, 2), (0, 2)]
+ALL_CODES = [f"{c}-{d}-{s}" for c in ("cs", "cb") for d in ("ds", "db")
+             for s in ("o", "p")]
 
 
 class TestBruteFollower:
@@ -196,6 +204,70 @@ class TestBruteBisel:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             brute_bisel(gen_random_intervals(25, 30, 0.5, 3, seed=0), OPT)
+
+
+def _sparse_ids(instance: IntervalInstance, rng) -> IntervalInstance:
+    """The same intervals under shuffled ids that are not dense from 0."""
+    ids = rng.sample(range(3 * len(instance) + 1), len(instance))
+    return IntervalInstance(tuple(
+        replace(iv, id=new) for iv, new in zip(instance.intervals, ids)
+    ))
+
+
+def _ids_pair(out) -> tuple:
+    return tuple(sorted(out.leader_set)), tuple(sorted(out.follower_set))
+
+
+class TestSmallestIdTupleTieBreak:
+    """The last tie-break of every oracle against the itertools references
+    in ``helpers``.  Weights in {0, 1} make ties common."""
+
+    @pytest.mark.parametrize("code", ALL_CODES)
+    def test_follower_on_graphs(self, code):
+        rng = random.Random(code)
+        for trial in range(40):
+            graph = gen_random_graph(rng.randint(1, 8), 0.3, 0.4, 1, seed=trial)
+            action = random_leader_action(rng, graph)
+            want = reference_reaction(graph, action, V(code), True)
+            if want is None:
+                with pytest.raises(Infeasible):
+                    brute_follower(graph, action, V(code))
+                continue
+            got = brute_follower(graph, action, V(code))
+            assert tuple(sorted(got)) == want
+
+    @pytest.mark.parametrize("setting", [OPT, PES], ids=["o", "p"])
+    def test_follower_on_intervals(self, setting):
+        variant = Variant(Objective.SUM, Objective.SUM, setting)
+        rng = random.Random(setting.value)
+        for trial in range(40):
+            inst = _sparse_ids(
+                gen_random_intervals(rng.randint(0, 8), 10, 0.4, 1, seed=trial),
+                rng,
+            )
+            action = random_leader_action(rng, inst)
+            want = reference_reaction(inst, action, variant, False)
+            assert tuple(sorted(brute_follower(inst, action, variant))) == want
+
+    @pytest.mark.parametrize("code", ALL_CODES)
+    def test_brute_force(self, code):
+        rng = random.Random(code)
+        for trial in range(30):
+            graph = gen_random_graph(rng.randint(1, 8), 0.3, 0.5, 1, seed=trial)
+            want = reference_optimum(graph, V(code), True)
+            assert _ids_pair(brute_force(graph, V(code))) == want
+
+    @pytest.mark.parametrize("setting", [OPT, PES], ids=["o", "p"])
+    def test_brute_bisel(self, setting):
+        variant = Variant(Objective.SUM, Objective.SUM, setting)
+        rng = random.Random(setting.value)
+        for trial in range(40):
+            inst = _sparse_ids(
+                gen_random_intervals(rng.randint(0, 8), 10, 0.5, 1, seed=trial),
+                rng,
+            )
+            want = reference_optimum(inst, variant, False)
+            assert _ids_pair(brute_bisel(inst, setting)) == want
 
 
 class TestDecideVc:

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -362,6 +363,23 @@ class TestCli:
         assert run_cli(
             "brute", "--variant", "cs-ds-o", "--input", str(path), "--cap", "16"
         ) == 3
+
+    def test_brute_cap_default_follows_the_mode(self, tmp_path, capsys):
+        """``brute --leader`` enumerates reactions only, so its default cap
+        is ``brute_follower``'s 22 follower items, not ``brute_force``'s 16
+        vertices; an explicit ``--cap`` still wins in both modes."""
+        clique = BisGraph(
+            tuple(Vertex(i, FOLL, i % 3, 1) for i in range(20)),
+            tuple(combinations(range(20), 2)),
+        )
+        path = tmp_path / "clique.json"
+        path.write_text(dumps(graph_to_dict(clique)))
+        args = ("brute", "--variant", "cs-ds-o", "--input", str(path))
+        assert run_cli(*args, "--leader", "") == 0
+        assert json.loads(capsys.readouterr().out)["follower_set"] == [2]
+        assert run_cli(*args) == 3
+        assert run_cli(*args, "--leader", "", "--cap", "19") == 3
+        assert run_cli(*args, "--cap", "20") == 0
 
     def test_exit_code_bad_parameter(self):
         assert run_cli("bench", "--sizes", "20,10") == 2
