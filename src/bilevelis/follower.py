@@ -14,11 +14,13 @@ from .core import (
     BisGraph,
     CompositeWeight,
     Instance,
+    Interval,
     IntervalInstance,
     Objective,
     Owner,
     Setting,
     Variant,
+    Vertex,
     check_leader_action,
 )
 from .errors import Infeasible, NotBipartite, OracleUnavailable
@@ -35,11 +37,16 @@ def perturb(
     first and then pushes the leader's sum in the direction the setting
     dictates, which is exactly the infinitesimal-epsilon weight update.
     """
-    sign = 1 if setting is Setting.OPTIMISTIC else -1
     if isinstance(instance, BisGraph):
-        items = instance.vertices
-    else:
-        items = instance.intervals
+        return _perturbed(instance.vertices, setting)
+    return _perturbed(instance.intervals, setting)
+
+
+def _perturbed(
+    items: Iterable[Vertex | Interval], setting: Setting
+) -> dict[int, CompositeWeight]:
+    """``perturb``'s weights for the given items only."""
+    sign = 1 if setting is Setting.OPTIMISTIC else -1
     return {it.id: CompositeWeight(it.wf, sign * it.wl) for it in items}
 
 
@@ -95,9 +102,8 @@ def react_sum_graph(
     lset, free = _free_followers(graph, leader_set)
     if not free:
         return frozenset()
-    _, chosen = mwis_bipartite(
-        graph, perturb(graph, setting), free, require_nonempty=not lset
-    )
+    weight = _perturbed([graph.vertices[v] for v in free], setting)
+    _, chosen = mwis_bipartite(graph, weight, free, require_nonempty=not lset)
     return chosen
 
 
@@ -155,16 +161,25 @@ def react_sum_graph_bottleneck(
 
     The epsilon perturbation does not apply here: among his maximum-sum
     reactions the follower must extremize the minimum leader weight, not
-    the leader's sum.  Optimistically that is the highest leader-weight
-    threshold whose surviving vertices still admit a maximum-sum reaction;
-    pessimistically, the cheapest single vertex that some maximum-sum
-    reaction contains.  Both scans need one independent-set computation per
-    candidate, so they stay polynomial.
+    the leader's sum.
+
+    Optimistically that is the highest leader-weight threshold whose
+    surviving vertices still admit a maximum-sum reaction.  The follower's
+    optimum over the free vertices with ``wl >= threshold`` can only grow
+    as the threshold falls, and at the lowest threshold it is the
+    unrestricted optimum, so the thresholds that reach it are exactly those
+    up to the answer.  A binary search over the sorted distinct thresholds
+    finds it with a logarithmic number of independent-set computations;
+    the reaction is the set computed at the winning threshold.
+
+    Pessimistically it is the cheapest single vertex that some maximum-sum
+    reaction contains, found by one independent-set computation per
+    candidate in increasing leader weight.  Both stay polynomial.
     """
     lset, free = _free_followers(graph, leader_set)
     if not free:
         return frozenset()
-    target, _ = mwis_by_owner(graph, free, Owner.FOLLOWER)
+    target, best = mwis_by_owner(graph, free, Owner.FOLLOWER)
     wl = {v: graph.item(v).wl for v in free}
 
     if target == 0 and not lset and setting is Setting.OPTIMISTIC:
@@ -173,12 +188,20 @@ def react_sum_graph_bottleneck(
         return frozenset({max(free, key=lambda v: (wl[v], -v))})
 
     if setting is Setting.OPTIMISTIC:
-        for threshold in sorted(set(wl.values()), reverse=True):
-            pool = [v for v in free if wl[v] >= threshold]
+        # thresholds[lo] reaches the target (the lowest keeps every free
+        # vertex, whose set is ``best``); thresholds[hi] does not, or is
+        # past the end.
+        thresholds = sorted(set(wl.values()))
+        lo, hi = 0, len(thresholds)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            pool = [v for v in free if wl[v] >= thresholds[mid]]
             value, chosen = mwis_by_owner(graph, pool, Owner.FOLLOWER)
             if value == target:
-                return chosen
-        raise AssertionError("threshold scan must hit the unrestricted optimum")
+                lo, best = mid, chosen
+            else:
+                hi = mid
+        return best
 
     for forced in sorted(free, key=lambda v: (wl[v], v)):
         rest = [

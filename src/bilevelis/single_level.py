@@ -2,8 +2,10 @@
 
 Two exact maximizers over lexicographic weights: a dynamic program for
 selecting pairwise-disjoint intervals, and a min-cut based maximum-weight
-independent set solver for bipartite graphs.  Both are pure functions and
-reentrant.
+independent set solver for bipartite graphs.  The latter is one kernel on
+integer weights, ``_min_cut_mwis``: ``mwis_bipartite`` collapses
+lexicographic weights into it, ``mwis_by_owner`` hands it one player's
+weights as they are.  All are pure functions and reentrant.
 """
 
 from __future__ import annotations
@@ -95,30 +97,39 @@ def bipartition(
     graph: BisGraph, restrict: Iterable[int] | None = None
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Two-color the induced subgraph, raising ``NotBipartite`` on an odd
-    cycle.  Returns the two color classes."""
+    cycle.  Returns the two color classes.
+
+    Each connected component of the induced subgraph gets color 0 at its
+    smallest vertex, so the first class always holds that vertex.  The
+    minimum-cut independent set depends on which class feeds the source,
+    so this orientation is part of ``mwis_bipartite``'s output contract.
+    """
     nodes = set(graph.ids) if restrict is None else set(restrict)
-    for vid in nodes:
-        graph.item(vid)
+    adjacency = graph.adjacency
+    if not nodes <= adjacency.keys():
+        for vid in nodes:
+            graph.item(vid)  # raises UnknownId for the id that is no vertex
     color: dict[int, int] = {}
+    sides: tuple[list[int], list[int]] = ([], [])
     for start in sorted(nodes):
         if start in color:
             continue
         color[start] = 0
+        sides[0].append(start)
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v in graph.adjacency[u]:
+            for v in adjacency[u]:
                 if v not in nodes:
                     continue
                 if v not in color:
-                    color[v] = 1 - color[u]
+                    color[v] = c = 1 - color[u]
+                    sides[c].append(v)
                     queue.append(v)
                 elif color[v] == color[u]:
                     raise NotBipartite(
                         f"odd cycle through vertices {u} and {v}"
                     )
-    sides = ({v for v, c in color.items() if c == 0},
-             {v for v, c in color.items() if c == 1})
     return frozenset(sides[0]), frozenset(sides[1])
 
 
@@ -195,6 +206,73 @@ class _MaxFlow:
                     break
 
 
+def _min_cut_mwis(
+    graph: BisGraph,
+    scaled: Mapping[int, int],
+    side_a: frozenset[int],
+    require_nonempty: bool = False,
+) -> set[int]:
+    """Maximum-weight independent set over the vertices of ``scaled``
+    under those integer weights: the minimal minimum-cut one.
+
+    ``side_a`` is the first color class of ``bipartition`` over the same
+    vertices; callers color before they read any weight, so an unknown id
+    or an odd cycle is reported first.  Vertices of non-positive weight
+    never improve the optimum and are dropped.  The network sends the
+    source to each kept side-A vertex and each kept side-B vertex to the
+    sink, with the vertex weight as capacity, and has an unbounded arc from
+    each kept side-A vertex to each kept neighbour.  The optimum is the
+    total kept weight minus a minimum s-t cut.  The answer is read off the
+    minimal minimum cut: the kept side-A vertices on its source side and
+    the kept side-B vertices off it.  That cut is the set of nodes a
+    residual path reaches from the source after any maximum flow, so
+    neither the order of arcs nor the flow found changes the answer.  Which
+    class is side A does: on one edge of equal weights the side-B end wins,
+    so ``side_a`` must be colored over exactly these vertices, not taken
+    from a coloring of a larger vertex set.
+
+    A kept vertex without a kept neighbour is in that read-out from
+    either side (on side A its source arc carries no flow, on side B it
+    is unreachable), so it joins the answer without entering the network.
+
+    With ``require_nonempty`` an empty set of vertices raises
+    ``EmptyRestrict``, and an empty optimum is replaced by the best single
+    vertex, the smallest id among equals (when every weight is
+    non-positive any optimal nonempty set is a single vertex).
+    """
+    if require_nonempty and not scaled:
+        raise EmptyRestrict("nonempty selection requested from empty set")
+    adjacency = graph.adjacency
+    keep = {v for v, w in scaled.items() if w > 0}
+    chosen = set()
+    index: dict[int, int] = {}
+    for v in keep:
+        if adjacency[v].isdisjoint(keep):
+            chosen.add(v)
+        else:
+            index[v] = len(index)
+    if index:
+        source = len(index)
+        sink = source + 1
+        net = _MaxFlow(sink + 1)
+        inf = 1 + sum(scaled[v] for v in index)
+        for v, i in index.items():
+            if v in side_a:
+                net.add_edge(source, i, scaled[v])
+                for u in adjacency[v]:
+                    if u in index:
+                        net.add_edge(i, index[u], inf)
+            else:
+                net.add_edge(i, sink, scaled[v])
+        reach = net.min_cut(source, sink)
+        chosen.update(
+            v for v, i in index.items() if (v in side_a) == (i in reach)
+        )
+    if require_nonempty and not chosen:
+        chosen.add(max(scaled, key=lambda v: (scaled[v], -v)))
+    return chosen
+
+
 def mwis_bipartite(
     graph: BisGraph,
     weight: Mapping[int, CompositeWeight],
@@ -204,45 +282,19 @@ def mwis_bipartite(
     """Maximum-weight independent set of a bipartite induced subgraph.
 
     Lexicographic weights are collapsed to single integers with a base
-    exceeding the total |secondary| mass, which preserves the order of all
-    achievable sums exactly.  The optimum is then the total positive weight
-    minus a minimum s-t cut (source -> one side, other side -> sink,
-    unbounded arcs across edges); the independent set is read off the cut.
-
-    Vertices whose collapsed weight is non-positive can never improve the
-    optimum and are dropped up front.  With ``require_nonempty`` an empty
-    optimum is replaced by the best single vertex (when all weights are
-    non-positive any optimal nonempty set is a single vertex).
+    exceeding the total |secondary| mass over ``restrict``, which preserves
+    the order of all achievable sums exactly, and handed to the min-cut
+    kernel ``_min_cut_mwis``.  Weights are read for ``restrict`` only.
+    With ``require_nonempty`` an empty optimum is replaced by the best
+    single vertex.
     """
     nodes = set(restrict)
-    if require_nonempty and not nodes:
-        raise EmptyRestrict("nonempty selection requested from empty set")
-    side_a, side_b = bipartition(graph, nodes)
-
+    side_a, _ = bipartition(graph, nodes)
     base = 1 + sum(abs(weight[v].secondary) for v in nodes)
-    scaled = {v: weight[v].scaled(base) for v in nodes}
-    keep = {v for v in nodes if scaled[v] > 0}
-
-    index = {v: i for i, v in enumerate(sorted(keep))}
-    source = len(index)
-    sink = source + 1
-    net = _MaxFlow(sink + 1)
-    inf = 1 + sum(scaled[v] for v in keep)
-    for v in sorted(keep):
-        if v in side_a:
-            net.add_edge(source, index[v], scaled[v])
-        else:
-            net.add_edge(index[v], sink, scaled[v])
-    for u, v in graph.edges:
-        if u in keep and v in keep:
-            a, b = (u, v) if u in side_a else (v, u)
-            net.add_edge(index[a], index[b], inf)
-    reach = net.min_cut(source, sink)
-    chosen = {v for v in keep if (v in side_a) == (index[v] in reach)}
-
-    if require_nonempty and not chosen:
-        best = max(nodes, key=lambda v: (weight[v], -v))
-        chosen = {best}
+    chosen = _min_cut_mwis(
+        graph, {v: weight[v].scaled(base) for v in nodes}, side_a,
+        require_nonempty,
+    )
     return weight_sum(weight[v] for v in chosen), frozenset(chosen)
 
 
@@ -254,11 +306,12 @@ def mwis_by_owner(
 ) -> tuple[int, frozenset[int]]:
     """``mwis_bipartite`` over ``pool`` weighted by one player's weights
     alone (``wl`` for the leader, ``wf`` for the follower), with the
-    optimum returned as a plain integer."""
-    pool = list(pool)
+    optimum returned as a plain integer.  The integer weights go to the
+    kernel as they are."""
     if owner is Owner.LEADER:
-        weights = {v: CompositeWeight(graph.item(v).wl, 0) for v in pool}
+        scaled = {v: graph.item(v).wl for v in pool}
     else:
-        weights = {v: CompositeWeight(graph.item(v).wf, 0) for v in pool}
-    value, chosen = mwis_bipartite(graph, weights, pool, require_nonempty)
-    return value.primary, chosen
+        scaled = {v: graph.item(v).wf for v in pool}
+    side_a, _ = bipartition(graph, scaled)
+    chosen = _min_cut_mwis(graph, scaled, side_a, require_nonempty)
+    return sum(scaled[v] for v in chosen), frozenset(chosen)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from itertools import combinations, combinations_with_replacement
 
 from bilevelis.bis_solvers import _oracle_reaction
@@ -28,10 +29,11 @@ from bilevelis.core import (
     make_outcome,
     weight_sum,
 )
-from bilevelis.errors import Infeasible
+from bilevelis.errors import EmptyRestrict, Infeasible, NotBipartite
+from bilevelis.follower import _free_followers
 from bilevelis.interval_dp import DpTables, follower_block
 from bilevelis.reductions import B2cnfFormula, Literal
-from bilevelis.single_level import sort_and_index
+from bilevelis.single_level import _MaxFlow, sort_and_index
 
 
 def powerset(items):
@@ -278,3 +280,111 @@ def reference_solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOut
     if best is None:
         raise Infeasible("no feasible leader/follower pair exists")
     return make_outcome(graph, variant, best[1], best[2])
+
+
+# The min-cut path as it was before the integer kernel and the binary
+# threshold search, kept as the slow reference for both: every call colors
+# its own induced subgraph, builds CompositeWeight dicts and scans all
+# edges; the optimistic bottleneck reaction scans thresholds from the top.
+
+
+def reference_bipartition(graph: BisGraph, restrict=None):
+    nodes = set(graph.ids) if restrict is None else set(restrict)
+    for vid in nodes:
+        graph.item(vid)
+    color: dict[int, int] = {}
+    for start in sorted(nodes):
+        if start in color:
+            continue
+        color[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in graph.adjacency[u]:
+                if v not in nodes:
+                    continue
+                if v not in color:
+                    color[v] = 1 - color[u]
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    raise NotBipartite(
+                        f"odd cycle through vertices {u} and {v}"
+                    )
+    sides = ({v for v, c in color.items() if c == 0},
+             {v for v, c in color.items() if c == 1})
+    return frozenset(sides[0]), frozenset(sides[1])
+
+
+def reference_mwis_bipartite(graph: BisGraph, weight, restrict,
+                             require_nonempty: bool = False):
+    nodes = set(restrict)
+    if require_nonempty and not nodes:
+        raise EmptyRestrict("nonempty selection requested from empty set")
+    side_a, side_b = reference_bipartition(graph, nodes)
+
+    base = 1 + sum(abs(weight[v].secondary) for v in nodes)
+    scaled = {v: weight[v].scaled(base) for v in nodes}
+    keep = {v for v in nodes if scaled[v] > 0}
+
+    index = {v: i for i, v in enumerate(sorted(keep))}
+    source = len(index)
+    sink = source + 1
+    net = _MaxFlow(sink + 1)
+    inf = 1 + sum(scaled[v] for v in keep)
+    for v in sorted(keep):
+        if v in side_a:
+            net.add_edge(source, index[v], scaled[v])
+        else:
+            net.add_edge(index[v], sink, scaled[v])
+    for u, v in graph.edges:
+        if u in keep and v in keep:
+            a, b = (u, v) if u in side_a else (v, u)
+            net.add_edge(index[a], index[b], inf)
+    reach = net.min_cut(source, sink)
+    chosen = {v for v in keep if (v in side_a) == (index[v] in reach)}
+
+    if require_nonempty and not chosen:
+        best = max(nodes, key=lambda v: (weight[v], -v))
+        chosen = {best}
+    return weight_sum(weight[v] for v in chosen), frozenset(chosen)
+
+
+def reference_mwis_by_owner(graph: BisGraph, pool, owner: Owner,
+                            require_nonempty: bool = False):
+    pool = list(pool)
+    if owner is Owner.LEADER:
+        weights = {v: CompositeWeight(graph.item(v).wl, 0) for v in pool}
+    else:
+        weights = {v: CompositeWeight(graph.item(v).wf, 0) for v in pool}
+    value, chosen = reference_mwis_bipartite(graph, weights, pool, require_nonempty)
+    return value.primary, chosen
+
+
+def reference_react_sum_graph_bottleneck(graph: BisGraph, leader_set,
+                                         setting: Setting) -> frozenset[int]:
+    lset, free = _free_followers(graph, leader_set)
+    if not free:
+        return frozenset()
+    target, _ = reference_mwis_by_owner(graph, free, Owner.FOLLOWER)
+    wl = {v: graph.item(v).wl for v in free}
+
+    if target == 0 and not lset and setting is Setting.OPTIMISTIC:
+        return frozenset({max(free, key=lambda v: (wl[v], -v))})
+
+    if setting is Setting.OPTIMISTIC:
+        for threshold in sorted(set(wl.values()), reverse=True):
+            pool = [v for v in free if wl[v] >= threshold]
+            value, chosen = reference_mwis_by_owner(graph, pool, Owner.FOLLOWER)
+            if value == target:
+                return chosen
+        raise AssertionError("threshold scan must hit the unrestricted optimum")
+
+    for forced in sorted(free, key=lambda v: (wl[v], v)):
+        rest = [
+            v for v in free
+            if v != forced and v not in graph.adjacency[forced]
+        ]
+        value, chosen = reference_mwis_by_owner(graph, rest, Owner.FOLLOWER)
+        if value + graph.item(forced).wf == target:
+            return chosen | {forced}
+    raise AssertionError("some maximum-sum reaction must contain a vertex")

@@ -6,6 +6,7 @@ import time
 import pytest
 
 import bilevelis.bis_solvers as bis_solvers
+import bilevelis.single_level as single_level
 import helpers
 from bilevelis.bis_solvers import solve_enum_leader
 from bilevelis.cli import main
@@ -29,6 +30,20 @@ def oracle_calls(monkeypatch):
 
     monkeypatch.setattr(bis_solvers, "_oracle_reaction", counted)
     monkeypatch.setattr(helpers, "_oracle_reaction", counted)
+    return calls
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts calls of the min-cut MWIS kernel."""
+    calls = [0]
+    kernel = single_level._min_cut_mwis
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(single_level, "_min_cut_mwis", counted)
     return calls
 
 
@@ -79,6 +94,8 @@ def test_matches_unpruned_reference(oracle_calls):
         ("cs-db-p", 39, 50),
         ("cb-db-o", 3, 9),
         ("cb-db-p", 1920, 1),
+        ("cb-ds-o", 6912, 0),
+        ("cb-ds-p", 6912, 0),
     ],
 )
 def test_oracle_calls_on_baseline_graph(oracle_calls, code, calls, value):
@@ -86,6 +103,28 @@ def test_oracle_calls_on_baseline_graph(oracle_calls, code, calls, value):
     graph = gen_random_graph(40, 0.1, 0.4, 9, bipartite=True, seed=5)
     assert solve_enum_leader(graph, V(code)).leader_value == value
     assert oracle_calls[0] == calls
+
+
+@pytest.mark.parametrize(
+    "code, calls",
+    [
+        ("cs-ds-o", 2230),
+        ("cs-ds-p", 2232),
+        ("cs-db-o", 2594),
+        ("cs-db-p", 0),
+        ("cb-db-o", 0),
+        ("cb-db-p", 0),
+        # the binary threshold search: 63,072 calls with the linear scan
+        ("cb-ds-o", 25920),
+        ("cb-ds-p", 13824),
+    ],
+)
+def test_kernel_calls_on_baseline_graph(kernel_calls, code, calls):
+    # One kernel call per sum-follower reaction, one per cs-db-o pool, and
+    # for cb-ds-* the target call plus the threshold or forced-vertex calls.
+    graph = gen_random_graph(40, 0.1, 0.4, 9, bipartite=True, seed=5)
+    solve_enum_leader(graph, V(code))
+    assert kernel_calls[0] == calls
 
 
 def test_cli_solve_many_independent_leaders(tmp_path, capsys, oracle_calls):

@@ -16,6 +16,7 @@ from bilevelis.core import (
 from bilevelis.errors import Infeasible, OracleUnavailable
 from bilevelis.fixtures import g1, g2, i1, i2
 from bilevelis.follower import (
+    _free_followers,
     perturb,
     react,
     react_bottleneck,
@@ -24,7 +25,11 @@ from bilevelis.follower import (
     react_sum_graph_bottleneck,
 )
 from bilevelis.randgen import gen_random_graph, gen_random_intervals
-from helpers import random_leader_action
+from helpers import (
+    random_leader_action,
+    reference_mwis_bipartite,
+    reference_react_sum_graph_bottleneck,
+)
 
 V = Variant.from_code
 OPT, PES = Setting.OPTIMISTIC, Setting.PESSIMISTIC
@@ -89,6 +94,52 @@ class TestReactSumGraph:
         graph = BisGraph((Vertex(0, LEAD, 1, 1),), ())
         with pytest.raises(Infeasible):
             react_sum_graph(graph, frozenset(), OPT)
+
+
+def _bipartite_cases(count):
+    """Seeded bipartite graphs with max weights 0, 1, 2 and 9 in turn, each
+    with the empty action and a random one."""
+    rng = random.Random(23)
+    for trial in range(count):
+        graph = gen_random_graph(
+            rng.randint(1, 16), rng.uniform(0.05, 0.5), rng.uniform(0.1, 0.6),
+            (0, 1, 2, 9)[trial % 4], bipartite=True, seed=trial,
+        )
+        yield graph, frozenset()
+        yield graph, random_leader_action(rng, graph)
+
+
+def _reaction(oracle, graph, action, setting):
+    try:
+        return oracle(graph, action, setting)
+    except Infeasible:
+        return Infeasible
+
+
+class TestAgainstPreviousMinCutPath:
+    @pytest.mark.parametrize("setting", [OPT, PES])
+    def test_sum_graph(self, setting):
+        def previous(graph, action, setting):
+            lset, free = _free_followers(graph, action)
+            if not free:
+                return frozenset()
+            return reference_mwis_bipartite(
+                graph, perturb(graph, setting), free, not lset
+            )[1]
+
+        for graph, action in _bipartite_cases(300):
+            assert _reaction(react_sum_graph, graph, action, setting) == (
+                _reaction(previous, graph, action, setting)
+            ), (graph, action)
+
+    @pytest.mark.parametrize("setting", [OPT, PES])
+    def test_sum_graph_bottleneck(self, setting):
+        for graph, action in _bipartite_cases(300):
+            want = _reaction(
+                reference_react_sum_graph_bottleneck, graph, action, setting
+            )
+            got = _reaction(react_sum_graph_bottleneck, graph, action, setting)
+            assert got == want, (graph, action)
 
 
 class TestReactBottleneck:

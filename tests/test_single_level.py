@@ -19,9 +19,17 @@ from bilevelis.single_level import (
     frank_dp,
     is_bipartite,
     mwis_bipartite,
+    mwis_by_owner,
     sort_and_index,
 )
-from helpers import deep_follower_path, reference_best_disjoint, reference_mwis
+from helpers import (
+    deep_follower_path,
+    reference_best_disjoint,
+    reference_bipartition,
+    reference_mwis,
+    reference_mwis_bipartite,
+    reference_mwis_by_owner,
+)
 
 LEAD, FOLL = Owner.LEADER, Owner.FOLLOWER
 
@@ -219,7 +227,83 @@ class TestMwisBipartite:
             assert value == best_single
 
 
+def _outcome(func, *args):
+    """The result, or the type of the raised error."""
+    try:
+        return func(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestMinCutKernel:
+    """The integer kernel against the previous min-cut path, which colored,
+    weighted and scanned every edge per call: identical values and sets."""
+
+    @staticmethod
+    def _cases(max_weight, count):
+        # Sparse to dense, so restrictions leave isolated vertices; weights
+        # from 0 up to max_weight, so zero weights and equal weights (where
+        # the coloring's orientation decides the set) are common.
+        rng = random.Random(max_weight)
+        for trial in range(count):
+            graph = gen_random_graph(
+                rng.randint(0, 16), rng.uniform(0.05, 0.6), 0.5, max_weight,
+                bipartite=True, seed=trial * 7 + max_weight,
+            )
+            restrict = [v for v in graph.ids if rng.random() < rng.random()]
+            yield graph, restrict, rng.random() < 0.5
+
+    @pytest.mark.parametrize("max_weight", [0, 1, 2, 9])
+    @pytest.mark.parametrize("sign", [-1, 0, 1])
+    def test_mwis_bipartite_equals_previous_path(self, max_weight, sign):
+        for graph, restrict, nonempty in self._cases(max_weight, 150):
+            weight = {
+                v: CompositeWeight(graph.item(v).wf, sign * graph.item(v).wl)
+                for v in graph.ids
+            }
+            want = _outcome(
+                reference_mwis_bipartite, graph, weight, restrict, nonempty
+            )
+            got = _outcome(mwis_bipartite, graph, weight, restrict, nonempty)
+            assert got == want, (graph, restrict, nonempty)
+
+    @pytest.mark.parametrize("max_weight", [0, 1, 2, 9])
+    @pytest.mark.parametrize("owner", [LEAD, FOLL])
+    def test_mwis_by_owner_equals_previous_path(self, max_weight, owner):
+        for graph, restrict, nonempty in self._cases(max_weight, 150):
+            want = _outcome(
+                reference_mwis_by_owner, graph, restrict, owner, nonempty
+            )
+            got = _outcome(mwis_by_owner, graph, restrict, owner, nonempty)
+            assert got == want, (graph, restrict, nonempty)
+
+    def test_equal_weights_on_one_edge_pick_the_larger_id(self):
+        graph = BisGraph((Vertex(0, FOLL, 3, 5), Vertex(1, FOLL, 3, 5)), ((0, 1),))
+        assert mwis_by_owner(graph, [0, 1], FOLL) == (5, frozenset({1}))
+
+    def test_orientation_follows_the_induced_subgraph(self):
+        # Path 0-1-2 colors 1 apart from 0 and 2; restricted to {1, 2} the
+        # component starts at 1, so 2 is the side-B end and wins the tie.
+        graph = BisGraph(
+            tuple(Vertex(i, FOLL, 0, 4) for i in range(3)), ((0, 1), (1, 2))
+        )
+        assert mwis_by_owner(graph, [1, 2], FOLL) == (4, frozenset({2}))
+
+
 class TestBipartition:
+    def test_equals_previous_coloring(self):
+        rng = random.Random(5)
+        for trial in range(200):
+            graph = gen_random_graph(
+                rng.randint(0, 14), rng.uniform(0.05, 0.7), 0.5, 1,
+                bipartite=trial % 4 != 0, seed=trial,
+            )
+            restrict = [v for v in graph.ids if rng.random() < 0.7]
+            for nodes in (None, restrict, restrict + [len(graph)]):
+                want = _outcome(reference_bipartition, graph, nodes)
+                assert _outcome(bipartition, graph, nodes) == want
+
+
     def test_even_cycle(self):
         side_a, side_b = bipartition(g2())
         assert {frozenset(side_a), frozenset(side_b)} == {
