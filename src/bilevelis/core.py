@@ -92,11 +92,10 @@ class CompositeWeight:
     """Exact lexicographic weight: compare on ``primary`` first, then
     ``secondary``.
 
-    Addition is componentwise, so comparisons of sums are translation
-    invariant.  Used to realize the infinitesimal tie-breaking term of the
-    follower's weight update without floating-point error: the follower's
-    own weight goes into ``primary``, the (signed) leader weight into
-    ``secondary``.
+    The public value type of the infinitesimal tie-breaking term of the
+    follower's weight update: his own weight goes into ``primary``, the
+    (signed) leader weight into ``secondary``.  Solvers add and compare
+    only its ``scaled`` collapse, which orders sums exactly as the pairs.
     """
 
     primary: int
@@ -382,10 +381,11 @@ def make_outcome(
 
 
 def scale_base(instance: Instance) -> int:
-    """Scaling base for collapsing lexicographic weights to integers.
+    """Scaling base for collapsing ``perturb``'s weights to integers.
 
     Exceeds the total leader weight, so a one-unit difference in the
-    primary component always dominates any achievable secondary sum.
+    primary component dominates any achievable secondary sum, and the
+    leader weight of a collapsed sum reads back as ``sign * sum % base``.
     """
     if isinstance(instance, BisGraph):
         return 1 + sum(v.wl for v in instance.vertices)

@@ -10,9 +10,9 @@ selection, which the leader cannot influence.
 
 For a fixed last leader position ``j`` the follower's windows for the
 later positions ``k`` are the prefixes of one end-sorted list, so a single
-take-or-skip pass per ``j`` prices every block ``(j, k)`` at once.  The
-tables take one left-to-right sweep with ``n_L + 1`` such passes:
-O(n_L * n log n) <= O(n^2 log n) time and O(n) extra memory.
+take-or-skip pass per ``j`` on scaled integers prices every block ``(j, k)``
+at once.  The tables take one left-to-right sweep with ``n_L + 1`` such
+passes: O(n_L * n log n) <= O(n^2 log n) time and O(n) extra memory.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 
 from .core import (
     BilevelOutcome,
-    CompositeWeight,
     IntervalInstance,
     Owner,
     Setting,
     Variant,
     Objective,
     make_outcome,
+    scale_base,
 )
 from .errors import CorruptTables, IndexOutOfRange
 from .follower import perturb, react_intervals
@@ -98,9 +98,11 @@ def compute_tables(instance: IntervalInstance, setting: Setting) -> DpTables:
     ``j``, one take-or-skip pass over the follower intervals after ``j``
     that start at or after interval ``j``'s end (``frank_dp``'s recursion on
     a growing prefix) gives ``follower_block(j, k)``'s leader weight for
-    every later ``k`` as ``sign * secondary`` of its running optimum.  Each
-    follower position keeps the first ``j`` with the largest
-    ``opt[prev[j]] + wl_j + block``.
+    every later ``k``.  The pass adds perturbed weights collapsed with
+    ``scale = scale_base(instance)``, so a block sums to
+    ``F * scale + sign * L`` with leader weight ``0 <= L < scale``, which
+    reads back as ``sign * best[-1] % scale``.  Each follower position
+    keeps the first ``j`` with the largest ``opt[prev[j]] + wl_j + block``.
     """
     ordered = sort_and_index(instance)
     tables = DpTables(sorted_intervals=ordered)
@@ -109,9 +111,10 @@ def compute_tables(instance: IntervalInstance, setting: Setting) -> DpTables:
     prev = ordered.prev_disjoint
     items = [instance.by_id[iid] for iid in ordered.order]
     weight = perturb(instance, setting)
+    scale = scale_base(instance)
     sign = 1 if setting is Setting.OPTIMISTIC else -1
     followers = [
-        (k, iv, weight[iv.id])
+        (k, iv, weight[iv.id].scaled(scale))
         for k, iv in enumerate(items, start=1)
         if iv.owner is Owner.FOLLOWER
     ]
@@ -122,17 +125,13 @@ def compute_tables(instance: IntervalInstance, setting: Setting) -> DpTables:
         base = opt[prev[j]] + (0 if j == 0 else items[j - 1].wl)
         cutoff = 0 if j == 0 else items[j - 1].end
         ends: list[int] = []
-        best = [CompositeWeight.ZERO]
-        block_wl = 0
+        best = [0]
         for k, iv, w in followers[after:]:
             if iv.start >= cutoff:
                 with_k = best[bisect_right(ends, iv.start)] + w
-                if with_k > best[-1]:
-                    block_wl = sign * with_k.secondary
-                    best.append(with_k)
-                else:
-                    best.append(best[-1])
+                best.append(with_k if with_k > best[-1] else best[-1])
                 ends.append(iv.end)
+            block_wl = sign * best[-1] % scale
             value = base + block_wl
             if block[k] is None or value > block[k][0]:
                 block[k] = (value, j, block_wl)

@@ -2,10 +2,10 @@
 
 Two exact maximizers over lexicographic weights: a dynamic program for
 selecting pairwise-disjoint intervals, and a min-cut based maximum-weight
-independent set solver for bipartite graphs.  The latter is one kernel on
-integer weights, ``_min_cut_mwis``: ``mwis_bipartite`` collapses
-lexicographic weights into it, ``mwis_by_owner`` hands it one player's
-weights as they are.  All are pure functions and reentrant.
+independent set solver for bipartite graphs.  Both compare only the
+integers ``_collapse`` makes of the pairs; the graph solver is one kernel
+on integer weights, ``_min_cut_mwis``, which ``mwis_by_owner`` feeds with
+one player's weights as they are.  All are pure functions and reentrant.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .core import BisGraph, CompositeWeight, IntervalInstance, Owner, weight_sum
 from .errors import EmptyRestrict, NotBipartite
@@ -58,6 +58,17 @@ def sort_and_index(
     return SortedIntervals(tuple([iv.id for iv in items]), tuple(prev))
 
 
+def _collapse(
+    weight: Mapping[int, CompositeWeight], ids: Collection[int]
+) -> dict[int, int]:
+    """``weight`` over ``ids`` as ``primary * base + secondary`` with
+    ``base = 1 + sum of |secondary|`` over ``ids``: two sums over subsets
+    of ``ids`` differ in secondary by less than ``base``, so the integers
+    order all such sums exactly as the pairs do, whatever the signs."""
+    base = 1 + sum(abs(weight[v].secondary) for v in ids)
+    return {v: weight[v].scaled(base) for v in ids}
+
+
 def frank_dp(
     instance: IntervalInstance,
     weight: Mapping[int, CompositeWeight],
@@ -65,32 +76,26 @@ def frank_dp(
 ) -> tuple[CompositeWeight, frozenset[int]]:
     """Maximum-weight set of pairwise-disjoint intervals within ``restrict``.
 
-    Weights are lexicographic pairs summed componentwise; the classic
-    take-or-skip recursion over end-sorted intervals applies unchanged
-    because comparison of the pair sums is a total order.  Returns the
-    optimal value and one optimal set (deterministic: skips on ties).
+    The classic take-or-skip recursion over end-sorted intervals, run on
+    the weights' ``_collapse``.  Returns the optimal value as a pair and
+    one optimal set (deterministic: skips on ties, so position ``k`` was
+    taken exactly when its prefix optimum beats the one before).
     """
     ordered = sort_and_index(instance, restrict)
     order, prev = ordered.order, ordered.prev_disjoint
-    n = len(order)
-    best = [CompositeWeight.ZERO] * (n + 1)
-    take = [False] * (n + 1)
-    for k in range(1, n + 1):
-        with_k = best[prev[k]] + weight[order[k - 1]]
-        if with_k > best[k - 1]:
-            best[k] = with_k
-            take[k] = True
-        else:
-            best[k] = best[k - 1]
-    chosen = []
-    k = n
+    scaled = _collapse(weight, order)
+    best = [0]
+    for k, iid in enumerate(order, start=1):
+        with_k = best[prev[k]] + scaled[iid]
+        best.append(with_k if with_k > best[-1] else best[-1])
+    chosen, k = [], len(order)
     while k > 0:
-        if take[k]:
+        if best[k] > best[k - 1]:
             chosen.append(order[k - 1])
             k = prev[k]
         else:
             k -= 1
-    return best[n], frozenset(chosen)
+    return weight_sum(weight[v] for v in chosen), frozenset(chosen)
 
 
 def bipartition(
@@ -281,20 +286,15 @@ def mwis_bipartite(
 ) -> tuple[CompositeWeight, frozenset[int]]:
     """Maximum-weight independent set of a bipartite induced subgraph.
 
-    Lexicographic weights are collapsed to single integers with a base
-    exceeding the total |secondary| mass over ``restrict``, which preserves
-    the order of all achievable sums exactly, and handed to the min-cut
-    kernel ``_min_cut_mwis``.  Weights are read for ``restrict`` only.
+    The weights over ``restrict``, the only ones read, are collapsed once
+    by ``_collapse`` and handed to the min-cut kernel ``_min_cut_mwis``.
     With ``require_nonempty`` an empty optimum is replaced by the best
     single vertex.
     """
     nodes = set(restrict)
     side_a, _ = bipartition(graph, nodes)
-    base = 1 + sum(abs(weight[v].secondary) for v in nodes)
-    chosen = _min_cut_mwis(
-        graph, {v: weight[v].scaled(base) for v in nodes}, side_a,
-        require_nonempty,
-    )
+    scaled = _collapse(weight, nodes)
+    chosen = _min_cut_mwis(graph, scaled, side_a, require_nonempty)
     return weight_sum(weight[v] for v in chosen), frozenset(chosen)
 
 

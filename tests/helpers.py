@@ -388,3 +388,36 @@ def reference_react_sum_graph_bottleneck(graph: BisGraph, leader_set,
         if value + graph.item(forced).wf == target:
             return chosen | {forced}
     raise AssertionError("some maximum-sum reaction must contain a vertex")
+
+
+# The interval selection DP as it was before it ran on collapsed integers:
+# take-or-skip over CompositeWeight pairs with a ``take`` array.  The slow
+# reference for ``frank_dp``.
+
+
+def reference_frank_dp(
+    instance: IntervalInstance,
+    weight,
+    restrict,
+) -> tuple[CompositeWeight, frozenset[int]]:
+    ordered = sort_and_index(instance, restrict)
+    order, prev = ordered.order, ordered.prev_disjoint
+    n = len(order)
+    best = [CompositeWeight.ZERO] * (n + 1)
+    take = [False] * (n + 1)
+    for k in range(1, n + 1):
+        with_k = best[prev[k]] + weight[order[k - 1]]
+        if with_k > best[k - 1]:
+            best[k] = with_k
+            take[k] = True
+        else:
+            best[k] = best[k - 1]
+    chosen = []
+    k = n
+    while k > 0:
+        if take[k]:
+            chosen.append(order[k - 1])
+            k = prev[k]
+        else:
+            k -= 1
+    return best[n], frozenset(chosen)

@@ -212,6 +212,36 @@ class TestSweepAgainstAllPairs:
                     weight, _ = follower_block(inst, ordered, j, k, setting)
                     assert weight == cached, (trial, setting, j, k)
 
+    def test_tables_equal_the_all_pairs_reference_at_large_weights(self):
+        # Weights up to 10**12 put block leader weights next to the scale
+        # they are read back from; few distinct values keep ties common.
+        rng = random.Random(56)
+        big = 10**12
+        for trial in range(400):
+            n = rng.randint(0, 24)
+            shape = gen_random_intervals(
+                n,
+                coord_max=max(1, n * rng.choice((1, 2, 4))),
+                leader_fraction=rng.choice((0.0, rng.random())),
+                max_weight=0,
+                seed=trial,
+            )
+            values = (0, 1, big - 1, big, rng.randint(0, big))
+            inst = IntervalInstance(tuple(
+                Interval(iv.id, iv.start, iv.end, iv.owner,
+                         wl=rng.choice(values), wf=rng.choice(values))
+                for iv in shape.intervals
+            ))
+            for setting in (OPT, PES):
+                tables = compute_tables(inst, setting)
+                reference = reference_compute_tables(inst, setting)
+                assert tables.opt == reference.opt, (trial, setting)
+                assert tables.choice == reference.choice, (trial, setting)
+                for key, cached in tables.sol_leader_weight.items():
+                    assert cached == reference.sol_leader_weight[key], (
+                        trial, setting, key
+                    )
+
     def test_one_perturb_and_no_frank_dp_per_call(self, monkeypatch):
         calls = {"perturb": 0, "frank_dp": 0}
 

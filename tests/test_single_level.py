@@ -8,11 +8,13 @@ from bilevelis.core import (
     Interval,
     IntervalInstance,
     Owner,
+    Setting,
     Vertex,
     weight_sum,
 )
 from bilevelis.errors import EmptyRestrict, NotBipartite, UnknownId
 from bilevelis.fixtures import g2, i1, i2
+from bilevelis.follower import perturb
 from bilevelis.randgen import gen_random_graph, gen_random_intervals
 from bilevelis.single_level import (
     bipartition,
@@ -26,6 +28,7 @@ from helpers import (
     deep_follower_path,
     reference_best_disjoint,
     reference_bipartition,
+    reference_frank_dp,
     reference_mwis,
     reference_mwis_bipartite,
     reference_mwis_by_owner,
@@ -140,6 +143,53 @@ class TestFrankDp:
                     for _, subset in [reference_best_disjoint(inst, weight, set(inst.ids))]
                 )
                 assert value.scaled(base) == best_scaled
+
+
+def _arbitrary_component(rng: random.Random) -> int:
+    """Zero, a small value of either sign (so sums tie often) or a
+    magnitude up to 10**12 of either sign."""
+    kind = rng.random()
+    if kind < 0.25:
+        return 0
+    if kind < 0.6:
+        return rng.randint(-3, 3)
+    if kind < 0.75:
+        return rng.choice((-1, 1)) * 10**12
+    return rng.randint(-10**12, 10**12)
+
+
+class TestFrankDpAgainstPreviousPath:
+    """``frank_dp`` on collapsed integers against the previous take-or-skip
+    over ``CompositeWeight`` pairs: identical value and identical set."""
+
+    def test_equals_previous_path(self):
+        rng = random.Random(31)
+        for trial in range(1000):
+            n = rng.randint(0, 40)
+            inst = gen_random_intervals(
+                n,
+                coord_max=max(1, n * rng.choice((1, 2, 4))),
+                leader_fraction=rng.random(),
+                max_weight=rng.choice((0, 1, 3, 9)),
+                seed=trial,
+            )
+            arbitrary = {
+                i: CompositeWeight(
+                    _arbitrary_component(rng), _arbitrary_component(rng)
+                )
+                for i in inst.ids
+            }
+            for weight in (
+                perturb(inst, Setting.OPTIMISTIC),
+                perturb(inst, Setting.PESSIMISTIC),
+                arbitrary,
+            ):
+                keep = 0.0 if rng.random() < 0.1 else rng.random()
+                restrict = {i for i in inst.ids if rng.random() < keep}
+                want = reference_frank_dp(inst, weight, restrict)
+                assert frank_dp(inst, weight, restrict) == want, (
+                    trial, weight, restrict
+                )
 
 
 class TestMwisBipartite:
