@@ -155,76 +155,124 @@ def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
     grows, so a node stops trying further leaders at the first index whose
     bound is beaten.  The search keeps an explicit stack, so a large action
     cannot exhaust the recursion limit.
+
+    The oracle is asked once per *view* of an action, which determines its
+    reaction: the followers it leaves free (a graph oracle's ground set),
+    whether it is empty (the empty action needs a nonempty reaction) and,
+    for a bottleneck follower, its cap ``min wf(chosen)`` (which free
+    followers are eligible).  The brute fallback, reached only under
+    ``cs-db-o`` since no other bottleneck-follower oracle needs an MWIS,
+    ranks reactions by the minimum of the cap and their own ``wf``, then
+    by ``wl(chosen)`` plus their own ``wl``, so it reads no more.  A view's
+    answer, ``Infeasible`` included, thus holds for every action with that
+    view.  The search keeps a bitmask of the followers adjacent to
+    ``chosen`` and, per node, ``wl(chosen)``, ``min wl(chosen)``, the cap
+    and the ``wl`` of the unblocked leaders from ``start`` on.  It reads
+    the leader's value off those and the view's reaction, and updates them
+    from the vertices a push newly blocks, so an action costs O(deg v)
+    beside the oracle's misses.
     """
     leaders = graph.leader_ids
+    adjacency = graph.adjacency
     wl = [v.wl for v in graph.vertices]
+    wf = [v.wf for v in graph.vertices]
+    rank = [-1] * len(graph)  # per vertex: its leader index, -1 if a follower
+    for k, v in enumerate(leaders):
+        rank[v] = k
     sum_leader = variant.leader_obj is Objective.SUM
+    capped = variant.follower_obj is Objective.BOTTLENECK
+    spite = variant == _CS_DB_P  # the follower never joins a nonempty action
     chosen: list[int] = []
     blocked = [0] * len(graph)  # per vertex: its neighbors in `chosen`
+    mask = 0  # the followers adjacent to `chosen`, bit `1 << id`
+    free_wl = sum(wl[v] for v in graph.follower_ids)  # wl of the free ones
+    views: dict[tuple, tuple | None] = {}  # view -> answer()
     best: tuple | None = None
+    best_value = -math.inf
 
-    def consider() -> None:
-        nonlocal best
-        leader_set = frozenset(chosen)
+    def answer() -> tuple | None:
+        """The oracle's answer to ``chosen`` as a view's entry: ``None`` if
+        infeasible, else the reaction's ``wl`` sum (for a bottleneck leader,
+        its minimum) and the sorted reaction."""
         try:
-            reaction = _oracle_reaction(graph, leader_set, variant)
+            reaction = sorted(
+                _oracle_reaction(graph, frozenset(chosen), variant)
+            )
         except Infeasible:
-            return
-        value = evaluate(
-            variant.leader_obj, Owner.LEADER, leader_set | reaction, graph
-        )
-        cand = (value, tuple(chosen), tuple(sorted(reaction)))
-        if best is None or cand[0] > best[0] or (
-            cand[0] == best[0] and cand[1:] < best[1:]
-        ):
-            best = cand
+            return None
+        weights = [wl[u] for u in reaction]
+        if sum_leader:
+            return sum(weights), tuple(reaction)
+        return min(weights, default=math.inf), tuple(reaction)
 
-    def bound(start: int) -> float:
-        """The upper bound of the node (``chosen``, ``start``)."""
-        if not sum_leader:
-            return min((wl[v] for v in chosen), default=math.inf)
-        free = leaders[start:]
-        if not chosen or variant != _CS_DB_P:
-            free += graph.follower_ids
-        return sum(wl[v] for v in chosen) + sum(
-            wl[u] for u in free if not blocked[u]
-        )
-
-    def beaten(limit: float) -> bool:
-        return best is not None and limit <= best[0]
-
-    def push(v: int) -> None:
-        chosen.append(v)
-        for u in graph.adjacency[v]:
-            blocked[u] += 1
-
-    def pop() -> None:
-        for u in graph.adjacency[chosen.pop()]:
-            blocked[u] -= 1
-
-    consider()
-    stack = [[0, bound(0)]]  # per node on the path: next index, its bound
+    # A node is the list [start, wl of the leaders from index start on that
+    # `chosen` leaves unblocked, wl(chosen), min wl(chosen), min wf(chosen)].
+    stack = [[0, sum(wl[v] for v in leaders), 0, math.inf, math.inf]]
+    fresh = True  # the top node's action is not answered yet
     while stack:
-        frame = stack[-1]
-        i, limit = frame
-        if i == len(leaders) or beaten(limit):
+        node = stack[-1]
+        if fresh:
+            fresh = False
+            key = (mask, bool(chosen), node[4] if capped else None)
+            if key not in views:
+                views[key] = answer()
+            view = views[key]
+            if view is None:
+                continue
+            value = node[2] + view[0] if sum_leader else min(node[3], view[0])
+            if value > best_value or value == best_value and (
+                (tuple(chosen), view[1]) < best[1:]
+            ):
+                best = (value, tuple(chosen), view[1])
+                best_value = value
+            continue
+        i = node[0]
+        if not sum_leader:
+            limit = node[3]
+        elif spite and chosen:
+            limit = node[2] + node[1]
+        else:
+            limit = node[2] + node[1] + free_wl
+        if i == len(leaders) or limit <= best_value:
             stack.pop()
-            if stack:
-                pop()
+            if chosen:
+                for u in adjacency[chosen.pop()]:
+                    blocked[u] -= 1
+                    if not blocked[u] and rank[u] < 0:
+                        mask ^= 1 << u
+                        free_wl += wl[u]
             continue
         v = leaders[i]
-        frame[0] = i + 1
+        node[0] = i + 1
         if blocked[v]:
             continue
+        w = wl[v]
+        node[1] -= w  # the leaders from index i + 1 lack v
+        # The bound of the child node, from the vertices v newly blocks.
+        rest = node[1]
+        low = w if w < node[3] else node[3]
         if sum_leader:
-            frame[1] -= wl[v]  # the bound from index i + 1 lacks v
-        push(v)
-        limit = bound(i + 1)
-        if beaten(limit):
-            pop()
+            free = free_wl
+            for u in adjacency[v]:
+                if not blocked[u]:
+                    if rank[u] < 0:
+                        free -= wl[u]
+                    elif rank[u] > i:
+                        rest -= wl[u]
+            limit = node[2] + w + rest + (0 if spite else free)
+        else:
+            limit = low
+        if limit <= best_value:
             continue
-        consider()
-        stack.append([i + 1, limit])
+        chosen.append(v)
+        for u in adjacency[v]:
+            if not blocked[u] and rank[u] < 0:
+                mask |= 1 << u
+                free_wl -= wl[u]
+            blocked[u] += 1
+        cap = wf[v] if wf[v] < node[4] else node[4]
+        stack.append([i + 1, rest, node[2] + w, low, cap])
+        fresh = True
     if best is None:
         raise Infeasible("no feasible leader/follower pair exists")
     return make_outcome(graph, variant, best[1], best[2])

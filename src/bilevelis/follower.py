@@ -14,17 +14,16 @@ from .core import (
     BisGraph,
     CompositeWeight,
     Instance,
-    Interval,
     IntervalInstance,
     Objective,
     Owner,
     Setting,
     Variant,
-    Vertex,
     check_leader_action,
 )
 from .errors import Infeasible, NotBipartite, OracleUnavailable
-from .single_level import frank_dp, mwis_bipartite, mwis_by_owner
+from . import single_level
+from .single_level import bipartition, frank_dp, mwis_by_owner
 
 
 def perturb(
@@ -37,15 +36,10 @@ def perturb(
     first and then pushes the leader's sum in the direction the setting
     dictates, which is exactly the infinitesimal-epsilon weight update.
     """
-    if isinstance(instance, BisGraph):
-        return _perturbed(instance.vertices, setting)
-    return _perturbed(instance.intervals, setting)
-
-
-def _perturbed(
-    items: Iterable[Vertex | Interval], setting: Setting
-) -> dict[int, CompositeWeight]:
-    """``perturb``'s weights for the given items only."""
+    items = (
+        instance.vertices if isinstance(instance, BisGraph)
+        else instance.intervals
+    )
     sign = 1 if setting is Setting.OPTIMISTIC else -1
     return {it.id: CompositeWeight(it.wf, sign * it.wl) for it in items}
 
@@ -102,9 +96,15 @@ def react_sum_graph(
     lset, free = _free_followers(graph, leader_set)
     if not free:
         return frozenset()
-    weight = _perturbed([graph.vertices[v] for v in free], setting)
-    _, chosen = mwis_bipartite(graph, weight, free, require_nonempty=not lset)
-    return chosen
+    side_a, _ = bipartition(graph, free)
+    items = [graph.vertices[v] for v in free]
+    # ``perturb``'s pairs under the ``_collapse`` rule, built as integers.
+    sign = 1 if setting is Setting.OPTIMISTIC else -1
+    base = 1 + sum(it.wl for it in items)
+    scaled = {it.id: it.wf * base + sign * it.wl for it in items}
+    return frozenset(
+        single_level._min_cut_mwis(graph, scaled, side_a, not lset)
+    )
 
 
 def react_bottleneck(

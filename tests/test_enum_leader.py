@@ -88,18 +88,20 @@ def test_matches_unpruned_reference(oracle_calls):
 @pytest.mark.parametrize(
     "code, calls, value",
     [
-        ("cs-ds-o", 2230, 113),
-        ("cs-ds-p", 2232, 113),
-        ("cs-db-o", 2594, 112),
-        ("cs-db-p", 39, 50),
+        ("cs-ds-o", 232, 113),
+        ("cs-ds-p", 233, 113),
+        ("cs-db-o", 340, 112),
+        ("cs-db-p", 25, 50),
         ("cb-db-o", 3, 9),
-        ("cb-db-p", 1920, 1),
-        ("cb-ds-o", 6912, 0),
-        ("cb-ds-p", 6912, 0),
+        ("cb-db-p", 149, 1),
+        ("cb-ds-o", 241, 0),
+        ("cb-ds-p", 241, 0),
     ],
 )
 def test_oracle_calls_on_baseline_graph(oracle_calls, code, calls, value):
-    # 17 leaders, 43,008 feasible leader actions, each asked without pruning
+    # 17 leaders, 43,008 feasible leader actions.  The pruned search visits
+    # 2,230 / 2,232 / 2,594 / 39 / 3 / 1,920 / 6,912 / 6,912 of them and
+    # asks the oracle once per distinct view among those.
     graph = gen_random_graph(40, 0.1, 0.4, 9, bipartite=True, seed=5)
     assert solve_enum_leader(graph, V(code)).leader_value == value
     assert oracle_calls[0] == calls
@@ -108,20 +110,20 @@ def test_oracle_calls_on_baseline_graph(oracle_calls, code, calls, value):
 @pytest.mark.parametrize(
     "code, calls",
     [
-        ("cs-ds-o", 2230),
-        ("cs-ds-p", 2232),
-        ("cs-db-o", 2594),
+        ("cs-ds-o", 232),
+        ("cs-ds-p", 233),
+        ("cs-db-o", 340),
         ("cs-db-p", 0),
         ("cb-db-o", 0),
         ("cb-db-p", 0),
-        # the binary threshold search: 63,072 calls with the linear scan
-        ("cb-ds-o", 25920),
-        ("cb-ds-p", 13824),
+        # the binary threshold search: 2,250 calls with the linear scan
+        ("cb-ds-o", 924),
+        ("cb-ds-p", 482),
     ],
 )
 def test_kernel_calls_on_baseline_graph(kernel_calls, code, calls):
-    # One kernel call per sum-follower reaction, one per cs-db-o pool, and
-    # for cb-ds-* the target call plus the threshold or forced-vertex calls.
+    # One kernel call per sum-follower view, one per cs-db-o pool, and for
+    # cb-ds-* the target call plus the threshold or forced-vertex calls.
     graph = gen_random_graph(40, 0.1, 0.4, 9, bipartite=True, seed=5)
     solve_enum_leader(graph, V(code))
     assert kernel_calls[0] == calls
@@ -144,6 +146,78 @@ def test_cli_solve_many_independent_leaders(tmp_path, capsys, oracle_calls):
     out, err = capsys.readouterr()
     assert '"leader_value": 4500' in out
     assert "Traceback" not in err
-    # one oracle call per prefix of the full action, then every sibling
-    # loop breaks at once
-    assert oracle_calls[0] == n + 1
+    # the search visits every prefix of the full action, then every sibling
+    # loop breaks at once; those actions share two views, empty and not
+    assert oracle_calls[0] == 2
+
+
+# Hand-built graphs on which a view cache with a wrong key changes the
+# outcome: each pair of actions below shares all of its view but one part.
+
+def _assert_reference(graph, code, oracle_calls, views):
+    want, _ = _run(reference_solve_enum_leader, graph, V(code), oracle_calls)
+    got, calls = _run(solve_enum_leader, graph, V(code), oracle_calls)
+    assert got == want
+    assert calls == views
+
+
+@pytest.mark.parametrize("code", ["cs-db-o", "cb-db-p"])
+def test_views_with_equal_free_sets_and_different_caps(oracle_calls, code):
+    # Leaders 0 and 1 are adjacent and see no follower, so the actions (0,)
+    # and (1,) leave follower 2 free.  Cap 1 admits it, cap 5 does not:
+    # (1,) is answered with the empty reaction and wins with value 6, but
+    # with (0,)'s reaction its value would be 8 under cs-db-o, and 2 under
+    # cb-db-p, where the empty action would then win a tie at 2.
+    graph = BisGraph(
+        (
+            Vertex(0, Owner.LEADER, 3, 1),
+            Vertex(1, Owner.LEADER, 6, 5),
+            Vertex(2, Owner.FOLLOWER, 2, 3),
+        ),
+        ((0, 1),),
+    )
+    assert solve_enum_leader(graph, V(code)).leader_set == {1}
+    _assert_reference(graph, code, oracle_calls, views=3)
+
+
+def test_empty_and_nonempty_action_with_equal_free_sets(oracle_calls):
+    # Leader 0 sees no follower.  The empty action must be answered with a
+    # nonempty reaction, so the pessimistic follower takes vertex 1 (value
+    # 3); the action (0,) is answered with the empty one (value 1), and
+    # with the empty action's reaction it would win with value 4.
+    graph = BisGraph(
+        (Vertex(0, Owner.LEADER, 1, 0), Vertex(1, Owner.FOLLOWER, 3, 0)), ()
+    )
+    assert solve_enum_leader(graph, V("cs-ds-p")).leader_set == frozenset()
+    _assert_reference(graph, "cs-ds-p", oracle_calls, views=2)
+
+
+@pytest.mark.parametrize(
+    "code, views",
+    [
+        ("cs-ds-o", 2), ("cs-ds-p", 2), ("cs-db-o", 3), ("cs-db-p", 3),
+        ("cb-ds-o", 2), ("cb-ds-p", 2), ("cb-db-o", 4), ("cb-db-p", 4),
+    ],
+)
+def test_leaders_only_graph(oracle_calls, code, views):
+    # The empty action is infeasible without followers, and that answer is
+    # kept for its view alone: every other action leaves no follower free
+    # and is answered by the empty reaction.  One view for the empty action
+    # and, for a bottleneck follower, one per cap among the actions the
+    # search does not skip: (0,) and (0, 2) under cs-db-*, (0,), (1,) and
+    # (2,) under cb-db-*.
+    graph = BisGraph(
+        tuple(Vertex(i, Owner.LEADER, 2 + i % 3, 4 - i) for i in range(4)),
+        ((0, 1), (1, 2), (2, 3)),
+    )
+    _assert_reference(graph, code, oracle_calls, views)
+
+
+def test_no_view_is_shared_between_solves(oracle_calls):
+    graph = gen_random_graph(40, 0.1, 0.4, 9, bipartite=True, seed=5)
+    for variant in ALL_VARIANTS:
+        first, calls = _run(solve_enum_leader, graph, variant, oracle_calls)
+        again, calls_again = _run(
+            solve_enum_leader, graph, variant, oracle_calls
+        )
+        assert (again, calls_again) == (first, calls)
