@@ -124,6 +124,13 @@ def _oracle_reaction(
         raise
 
 
+def _view_key(mask: int, nonempty: bool, cap: float | None) -> tuple:
+    """The key under which ``solve_enum_leader`` caches an action's answer:
+    the bitmask of the followers adjacent to it, whether it is nonempty,
+    and for a bottleneck follower its cap ``min wf``, else ``None``."""
+    return mask, nonempty, cap
+
+
 def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
     """Best outcome over every feasible leader action, each answered by the
     follower oracle.  Exponential only in the number of leader vertices.
@@ -213,7 +220,7 @@ def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
         node = stack[-1]
         if fresh:
             fresh = False
-            key = (mask, bool(chosen), node[4] if capped else None)
+            key = _view_key(mask, bool(chosen), node[4] if capped else None)
             if key not in views:
                 views[key] = answer()
             view = views[key]

@@ -1,5 +1,6 @@
 """Branch-and-bound leader enumeration against the unpruned reference."""
 
+import itertools
 import random
 import time
 
@@ -47,6 +48,28 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def view_keys(monkeypatch):
+    """Records the view key of every leader action the search visits."""
+    keys = []
+    view_key = bis_solvers._view_key
+
+    def recorded(*args):
+        keys.append(view_key(*args))
+        return keys[-1]
+
+    monkeypatch.setattr(bis_solvers, "_view_key", recorded)
+    return keys
+
+
+@pytest.fixture
+def no_view_cache(monkeypatch):
+    """Gives every visited action a view of its own, so that the search
+    asks the oracle once per action, as it would without the view cache."""
+    fresh = itertools.count()
+    monkeypatch.setattr(bis_solvers, "_view_key", lambda *args: next(fresh))
+
+
 def _run(solver, graph, variant, calls):
     """The outcome or the type of the raised error, with the oracle calls
     made on the way."""
@@ -86,25 +109,72 @@ def test_matches_unpruned_reference(oracle_calls):
 
 
 @pytest.mark.parametrize(
-    "code, calls, value",
+    "code, visits, value",
     [
-        ("cs-ds-o", 232, 113),
-        ("cs-ds-p", 233, 113),
-        ("cs-db-o", 340, 112),
-        ("cs-db-p", 25, 50),
+        ("cs-ds-o", 2230, 113),
+        ("cs-ds-p", 2232, 113),
+        ("cs-db-o", 2594, 112),
+        ("cs-db-p", 39, 50),
         ("cb-db-o", 3, 9),
-        ("cb-db-p", 149, 1),
-        ("cb-ds-o", 241, 0),
-        ("cb-ds-p", 241, 0),
+        ("cb-db-p", 1920, 1),
+        ("cb-ds-o", 6912, 0),
+        ("cb-ds-p", 6912, 0),
     ],
 )
-def test_oracle_calls_on_baseline_graph(oracle_calls, code, calls, value):
+def test_oracle_calls_on_baseline_graph(
+    oracle_calls, view_keys, code, visits, value
+):
     # 17 leaders, 43,008 feasible leader actions.  The pruned search visits
-    # 2,230 / 2,232 / 2,594 / 39 / 3 / 1,920 / 6,912 / 6,912 of them and
-    # asks the oracle once per distinct view among those.
+    # `visits` of them and asks the oracle once per distinct view among
+    # those.
     graph = gen_random_graph(40, 0.1, 0.4, 9, bipartite=True, seed=5)
     assert solve_enum_leader(graph, V(code)).leader_value == value
-    assert oracle_calls[0] == calls
+    assert len(view_keys) == visits
+    assert oracle_calls[0] == len(set(view_keys))
+
+
+@pytest.mark.parametrize(
+    "code, views",
+    [
+        ("cs-ds-o", 232),
+        ("cs-ds-p", 233),
+        ("cs-db-o", 340),
+        ("cs-db-p", 25),
+        ("cb-db-o", 3),
+        ("cb-db-p", 149),
+        ("cb-ds-o", 241),
+        ("cb-ds-p", 241),
+    ],
+)
+def test_views_on_baseline_graph(oracle_calls, code, views):
+    graph = gen_random_graph(40, 0.1, 0.4, 9, bipartite=True, seed=5)
+    solve_enum_leader(graph, V(code))
+    assert oracle_calls[0] == views
+
+
+@pytest.mark.parametrize(
+    "code, calls",
+    [
+        ("cs-ds-o", 2230),
+        ("cs-ds-p", 2232),
+        ("cs-db-o", 2594),
+        ("cs-db-p", 0),
+        ("cb-db-o", 0),
+        ("cb-db-p", 0),
+        # the binary threshold search: 63,072 calls with the linear scan
+        ("cb-ds-o", 25920),
+        ("cb-ds-p", 13824),
+    ],
+)
+def test_kernel_calls_on_baseline_graph(
+    kernel_calls, no_view_cache, code, calls
+):
+    # One oracle call per visited action.  One kernel call per sum-follower
+    # reaction, one per cs-db-o pool, and for cb-ds-* the target call plus
+    # the threshold or forced-vertex calls.
+    graph = gen_random_graph(40, 0.1, 0.4, 9, bipartite=True, seed=5)
+    solve_enum_leader(graph, V(code))
+    assert kernel_calls[0] == calls
 
 
 @pytest.mark.parametrize(
@@ -116,14 +186,13 @@ def test_oracle_calls_on_baseline_graph(oracle_calls, code, calls, value):
         ("cs-db-p", 0),
         ("cb-db-o", 0),
         ("cb-db-p", 0),
-        # the binary threshold search: 2,250 calls with the linear scan
+        # 2,250 calls with the linear threshold scan
         ("cb-ds-o", 924),
         ("cb-ds-p", 482),
     ],
 )
-def test_kernel_calls_on_baseline_graph(kernel_calls, code, calls):
-    # One kernel call per sum-follower view, one per cs-db-o pool, and for
-    # cb-ds-* the target call plus the threshold or forced-vertex calls.
+def test_kernel_calls_with_view_cache(kernel_calls, code, calls):
+    # As above, but once per distinct view.
     graph = gen_random_graph(40, 0.1, 0.4, 9, bipartite=True, seed=5)
     solve_enum_leader(graph, V(code))
     assert kernel_calls[0] == calls
