@@ -23,8 +23,7 @@ from .core import (
     evaluate,
     make_outcome,
 )
-from .errors import Infeasible, NotBipartite, OracleUnavailable
-from .brute import brute_follower
+from .errors import Infeasible, NotBipartite
 from .follower import react, react_bottleneck
 from .single_level import bipartition, mwis_by_owner
 
@@ -68,7 +67,6 @@ def solve_cs_db_o_bipartite(graph: BisGraph) -> BilevelOutcome:
     if graph.follower_ids:
         reaction = react_bottleneck(graph, frozenset(), _CS_DB_O)
         best_value = evaluate(Objective.SUM, Owner.LEADER, reaction, graph)
-        best_leader = frozenset()
     for pivot in graph.leader_ids:
         floor = graph.item(pivot).wf
         closed = graph.adjacency[pivot] | {pivot}
@@ -110,18 +108,8 @@ def solve_cs_db_p_bipartite(graph: BisGraph) -> BilevelOutcome:
 def _oracle_reaction(
     graph: BisGraph, leader_set: frozenset[int], variant: Variant
 ) -> frozenset[int]:
-    """The polynomial oracle where it applies, the brute enumerator where
-    only a bottleneck-objective follower is left without one (a
-    sum-objective leader may need a max-weight independent set on a
-    non-two-colorable eligible subgraph)."""
-    try:
-        return react(graph, leader_set, variant)
-    except OracleUnavailable:
-        if variant.follower_obj is Objective.BOTTLENECK:
-            return brute_follower(
-                graph, leader_set, variant, cap=len(graph.vertices)
-            )
-        raise
+    """``react`` under one name, through which oracle calls are counted."""
+    return react(graph, leader_set, variant)
 
 
 def _view_key(mask: int, nonempty: bool, cap: float | None) -> tuple:
@@ -167,8 +155,8 @@ def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
     reaction: the followers it leaves free (a graph oracle's ground set),
     whether it is empty (the empty action needs a nonempty reaction) and,
     for a bottleneck follower, its cap ``min wf(chosen)`` (which free
-    followers are eligible).  The brute fallback, reached only under
-    ``cs-db-o`` since no other bottleneck-follower oracle needs an MWIS,
+    followers are eligible).  ``react``'s brute fallback (``cs-db-o``
+    only, since no other bottleneck-follower oracle needs an MWIS)
     ranks reactions by the minimum of the cap and their own ``wf``, then
     by ``wl(chosen)`` plus their own ``wl``, so it reads no more.  A view's
     answer, ``Infeasible`` included, thus holds for every action with that

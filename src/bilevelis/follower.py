@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .brute import brute_follower
 from .core import (
     BisGraph,
     CompositeWeight,
@@ -23,7 +24,7 @@ from .core import (
 )
 from .errors import Infeasible, NotBipartite, OracleUnavailable
 from . import single_level
-from .single_level import bipartition, frank_dp, mwis_by_owner
+from .single_level import _take_or_skip, mwis_by_owner, sort_and_index
 
 
 def perturb(
@@ -44,6 +45,21 @@ def perturb(
     return {it.id: CompositeWeight(it.wf, sign * it.wl) for it in items}
 
 
+def _tie_break(items: list, setting: Setting) -> dict[int, int]:
+    """``_collapse`` of ``perturb``'s pairs over ``items``, built as ints."""
+    sign = 1 if setting is Setting.OPTIMISTIC else -1
+    base = 1 + sum(it.wl for it in items)
+    return {it.id: it.wf * base + sign * it.wl for it in items}
+
+
+def _best_intervals(
+    instance: IntervalInstance, items: list, setting: Setting
+) -> frozenset[int]:
+    """The follower's tie-broken optimum among the intervals ``items``."""
+    ordered = sort_and_index(instance, [it.id for it in items])
+    return _take_or_skip(ordered, _tie_break(items, setting))
+
+
 def react_intervals(
     instance: IntervalInstance, leader_set: Iterable[int], setting: Setting
 ) -> frozenset[int]:
@@ -57,13 +73,10 @@ def react_intervals(
     check_leader_action(instance, lset)
     taken = [instance.by_id[i] for i in lset]
     free = [
-        iv.id
-        for iv in instance.intervals
-        if iv.owner is Owner.FOLLOWER
-        and not any(iv.overlaps(t) for t in taken)
+        iv for iv in instance.intervals
+        if iv.owner is Owner.FOLLOWER and not any(iv.overlaps(t) for t in taken)
     ]
-    _, chosen = frank_dp(instance, perturb(instance, setting), free)
-    return chosen
+    return _best_intervals(instance, free, setting)
 
 
 def _free_followers(
@@ -96,15 +109,8 @@ def react_sum_graph(
     lset, free = _free_followers(graph, leader_set)
     if not free:
         return frozenset()
-    side_a, _ = bipartition(graph, free)
-    items = [graph.vertices[v] for v in free]
-    # ``perturb``'s pairs under the ``_collapse`` rule, built as integers.
-    sign = 1 if setting is Setting.OPTIMISTIC else -1
-    base = 1 + sum(it.wl for it in items)
-    scaled = {it.id: it.wf * base + sign * it.wl for it in items}
-    return frozenset(
-        single_level._min_cut_mwis(graph, scaled, side_a, not lset)
-    )
+    scaled = _tie_break([graph.vertices[v] for v in free], setting)
+    return frozenset(single_level._min_cut_mwis(graph, scaled, not lset))
 
 
 def react_bottleneck(
@@ -219,11 +225,10 @@ def react(
 ) -> frozenset[int]:
     """Dispatch to the reaction oracle matching the variant and instance.
 
-    Raises ``OracleUnavailable`` where no polynomial oracle exists: a
-    sum-objective follower whose free subgraph is not two-colorable, an
-    optimistic sum-objective leader over a non-two-colorable eligible
-    pool, or bottleneck objectives on intervals.  Callers should fall back
-    to the brute enumerator there.
+    An odd cycle in an optimistic sum-objective leader's eligible pool is
+    answered by ``brute_follower``, capped only by the graph's size.  Raises
+    ``OracleUnavailable`` for a sum-objective follower on a non-two-colorable
+    free subgraph, or for bottleneck objectives on intervals.
     """
     if isinstance(instance, IntervalInstance):
         if (
@@ -231,16 +236,17 @@ def react(
             and variant.leader_obj is Objective.SUM
         ):
             return react_intervals(instance, leader_set, variant.setting)
-        raise OracleUnavailable(
-            f"no interval oracle for variant {variant.code}"
-        )
+        raise OracleUnavailable(f"no interval oracle for variant {variant.code}")
+    lset = frozenset(leader_set)  # read again by the fallback
     try:
         if variant.follower_obj is Objective.BOTTLENECK:
-            return react_bottleneck(instance, leader_set, variant)
+            return react_bottleneck(instance, lset, variant)
         if variant.leader_obj is Objective.SUM:
-            return react_sum_graph(instance, leader_set, variant.setting)
-        return react_sum_graph_bottleneck(instance, leader_set, variant.setting)
+            return react_sum_graph(instance, lset, variant.setting)
+        return react_sum_graph_bottleneck(instance, lset, variant.setting)
     except NotBipartite as exc:
+        if variant.follower_obj is Objective.BOTTLENECK:
+            return brute_follower(instance, lset, variant, cap=len(instance))
         raise OracleUnavailable(
             f"variant {variant.code} needs a two-colorable subgraph: {exc}"
         ) from exc

@@ -31,7 +31,8 @@ from .core import (
     scale_base,
 )
 from .errors import CorruptTables, IndexOutOfRange
-from .follower import perturb, react_intervals
+from .follower import _best_intervals, perturb, react_intervals
+# ``frank_dp`` stays bound here, where tests check that no pass calls it.
 from .single_level import SortedIntervals, frank_dp, sort_and_index
 
 
@@ -80,14 +81,12 @@ def follower_block(
         raise IndexOutOfRange(f"need 0 <= j < k <= {n}, got j={j}, k={k}")
     if j > 0 and instance.by_id[ordered.order[j - 1]].owner is not Owner.LEADER:
         raise IndexOutOfRange(f"position {j} is not a leader interval")
-    cutoff = None if j == 0 else instance.by_id[ordered.order[j - 1]].end
+    cutoff = 0 if j == 0 else instance.by_id[ordered.order[j - 1]].end
     window = [
-        iid
-        for iid in ordered.order[j:k]
-        if instance.by_id[iid].owner is Owner.FOLLOWER
-        and (cutoff is None or instance.by_id[iid].start >= cutoff)
+        iv for iv in (instance.by_id[iid] for iid in ordered.order[j:k])
+        if iv.owner is Owner.FOLLOWER and iv.start >= cutoff
     ]
-    _, block = frank_dp(instance, perturb(instance, setting), window)
+    block = _best_intervals(instance, window, setting)
     return sum(instance.by_id[iid].wl for iid in block), block
 
 
@@ -96,7 +95,7 @@ def compute_tables(instance: IntervalInstance, setting: Setting) -> DpTables:
 
     Once ``opt[prev[j]]`` is final for the sentinel or a leader position
     ``j``, one take-or-skip pass over the follower intervals after ``j``
-    that start at or after interval ``j``'s end (``frank_dp``'s recursion on
+    that start at or after interval ``j``'s end (``_take_or_skip`` run on
     a growing prefix) gives ``follower_block(j, k)``'s leader weight for
     every later ``k``.  The pass adds perturbed weights collapsed with
     ``scale = scale_base(instance)``, so a block sums to

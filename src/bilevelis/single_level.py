@@ -2,10 +2,10 @@
 
 Two exact maximizers over lexicographic weights: a dynamic program for
 selecting pairwise-disjoint intervals, and a min-cut based maximum-weight
-independent set solver for bipartite graphs.  Both compare only the
-integers ``_collapse`` makes of the pairs; the graph solver is one kernel
-on integer weights, ``_min_cut_mwis``, which ``mwis_by_owner`` feeds with
-one player's weights as they are.  All are pure functions and reentrant.
+independent set solver for bipartite graphs.  Each is a set-only kernel
+on integers, ``_take_or_skip`` or ``_min_cut_mwis``, fed ``_collapse`` of
+the pairs by ``frank_dp`` and ``mwis_bipartite`` and integers built
+directly by the other callers.  All are pure functions and reentrant.
 """
 
 from __future__ import annotations
@@ -69,21 +69,14 @@ def _collapse(
     return {v: weight[v].scaled(base) for v in ids}
 
 
-def frank_dp(
-    instance: IntervalInstance,
-    weight: Mapping[int, CompositeWeight],
-    restrict: Iterable[int],
-) -> tuple[CompositeWeight, frozenset[int]]:
-    """Maximum-weight set of pairwise-disjoint intervals within ``restrict``.
-
-    The classic take-or-skip recursion over end-sorted intervals, run on
-    the weights' ``_collapse``.  Returns the optimal value as a pair and
-    one optimal set (deterministic: skips on ties, so position ``k`` was
-    taken exactly when its prefix optimum beats the one before).
-    """
-    ordered = sort_and_index(instance, restrict)
+def _take_or_skip(
+    ordered: SortedIntervals, scaled: Mapping[int, int]
+) -> frozenset[int]:
+    """Maximum-weight set of pairwise-disjoint intervals among ``ordered``
+    under the integer weights ``scaled``, by the classic take-or-skip
+    recursion.  Deterministic: it skips on ties, so position ``k`` was
+    taken exactly when its prefix optimum beats the one before."""
     order, prev = ordered.order, ordered.prev_disjoint
-    scaled = _collapse(weight, order)
     best = [0]
     for k, iid in enumerate(order, start=1):
         with_k = best[prev[k]] + scaled[iid]
@@ -95,7 +88,20 @@ def frank_dp(
             k = prev[k]
         else:
             k -= 1
-    return weight_sum(weight[v] for v in chosen), frozenset(chosen)
+    return frozenset(chosen)
+
+
+def frank_dp(
+    instance: IntervalInstance,
+    weight: Mapping[int, CompositeWeight],
+    restrict: Iterable[int],
+) -> tuple[CompositeWeight, frozenset[int]]:
+    """Maximum-weight set of pairwise-disjoint intervals within ``restrict``,
+    by ``_take_or_skip`` on the weights' ``_collapse``: the optimal value
+    as a pair and one optimal set."""
+    ordered = sort_and_index(instance, restrict)
+    chosen = _take_or_skip(ordered, _collapse(weight, ordered.order))
+    return weight_sum(weight[v] for v in chosen), chosen
 
 
 def bipartition(
@@ -212,29 +218,25 @@ class _MaxFlow:
 
 
 def _min_cut_mwis(
-    graph: BisGraph,
-    scaled: Mapping[int, int],
-    side_a: frozenset[int],
-    require_nonempty: bool = False,
+    graph: BisGraph, scaled: Mapping[int, int], require_nonempty: bool = False
 ) -> set[int]:
     """Maximum-weight independent set over the vertices of ``scaled``
     under those integer weights: the minimal minimum-cut one.
 
-    ``side_a`` is the first color class of ``bipartition`` over the same
-    vertices; callers color before they read any weight, so an unknown id
-    or an odd cycle is reported first.  Vertices of non-positive weight
-    never improve the optimum and are dropped.  The network sends the
-    source to each kept side-A vertex and each kept side-B vertex to the
-    sink, with the vertex weight as capacity, and has an unbounded arc from
-    each kept side-A vertex to each kept neighbour.  The optimum is the
-    total kept weight minus a minimum s-t cut.  The answer is read off the
-    minimal minimum cut: the kept side-A vertices on its source side and
-    the kept side-B vertices off it.  That cut is the set of nodes a
-    residual path reaches from the source after any maximum flow, so
-    neither the order of arcs nor the flow found changes the answer.  Which
-    class is side A does: on one edge of equal weights the side-B end wins,
-    so ``side_a`` must be colored over exactly these vertices, not taken
-    from a coloring of a larger vertex set.
+    Side A is the first class of ``bipartition`` over exactly these
+    vertices, colored before any weight is read, so an unknown id or an
+    odd cycle is reported first.  Vertices of non-positive weight never
+    improve the optimum and are dropped.  The network sends the source to
+    each kept side-A vertex and each kept side-B vertex to the sink, with
+    the vertex weight as capacity, and has an unbounded arc from each kept
+    side-A vertex to each kept neighbour.  The optimum is the total kept
+    weight minus a minimum s-t cut.  The answer is read off the minimal
+    minimum cut: the kept side-A vertices on its source side and the kept
+    side-B vertices off it.  That cut is the set of nodes a residual path
+    reaches from the source after any maximum flow, so neither the order
+    of arcs nor the flow found changes the answer.  Which class is side A
+    does: on one edge of equal weights the side-B end wins, so a coloring
+    of a larger vertex set would change the answer.
 
     A kept vertex without a kept neighbour is in that read-out from
     either side (on side A its source arc carries no flow, on side B it
@@ -245,6 +247,7 @@ def _min_cut_mwis(
     vertex, the smallest id among equals (when every weight is
     non-positive any optimal nonempty set is a single vertex).
     """
+    side_a, _ = bipartition(graph, scaled)
     if require_nonempty and not scaled:
         raise EmptyRestrict("nonempty selection requested from empty set")
     adjacency = graph.adjacency
@@ -291,10 +294,8 @@ def mwis_bipartite(
     With ``require_nonempty`` an empty optimum is replaced by the best
     single vertex.
     """
-    nodes = set(restrict)
-    side_a, _ = bipartition(graph, nodes)
-    scaled = _collapse(weight, nodes)
-    chosen = _min_cut_mwis(graph, scaled, side_a, require_nonempty)
+    nodes = {graph.item(v).id for v in restrict}  # UnknownId before any weight is read
+    chosen = _min_cut_mwis(graph, _collapse(weight, nodes), require_nonempty)
     return weight_sum(weight[v] for v in chosen), frozenset(chosen)
 
 
@@ -312,6 +313,5 @@ def mwis_by_owner(
         scaled = {v: graph.item(v).wl for v in pool}
     else:
         scaled = {v: graph.item(v).wf for v in pool}
-    side_a, _ = bipartition(graph, scaled)
-    chosen = _min_cut_mwis(graph, scaled, side_a, require_nonempty)
+    chosen = _min_cut_mwis(graph, scaled, require_nonempty)
     return sum(scaled[v] for v in chosen), frozenset(chosen)

@@ -233,7 +233,7 @@ class TestAgainstBrute:
                     graph, variant, action, want
                 )
 
-    @pytest.mark.parametrize("code", ["cb-db-o", "cb-db-p", "cs-db-p"])
+    @pytest.mark.parametrize("code", ["cb-db-o", "cb-db-p", "cs-db-p", "cs-db-o"])
     def test_general_graphs(self, code):
         rng = random.Random(code)
         variant = V(code)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bilevelis import interval_dp
+from bilevelis import core, follower, interval_dp, single_level
 from bilevelis.brute import brute_bisel
 from bilevelis.core import (
     Interval,
@@ -14,7 +14,7 @@ from bilevelis.core import (
 )
 from bilevelis.errors import CorruptTables, IndexOutOfRange
 from bilevelis.fixtures import i1, i2, showcase
-from bilevelis.follower import react_intervals
+from bilevelis.follower import perturb, react_intervals
 from bilevelis.interval_dp import (
     compute_tables,
     follower_block,
@@ -23,7 +23,11 @@ from bilevelis.interval_dp import (
 )
 from bilevelis.randgen import gen_random_intervals
 from bilevelis.single_level import sort_and_index
-from helpers import reference_compute_tables
+from helpers import (
+    random_leader_action,
+    reference_compute_tables,
+    reference_frank_dp,
+)
 
 OPT, PES = Setting.OPTIMISTIC, Setting.PESSIMISTIC
 LEAD, FOLL = Owner.LEADER, Owner.FOLLOWER
@@ -265,3 +269,99 @@ class TestSweepAgainstAllPairs:
                 assert calls == {"perturb": 1, "frank_dp": 0}
                 followers = sum(iv.owner is FOLL for iv in inst.intervals)
                 assert len(tables.sol_leader_weight) == followers
+
+
+def _tied_or_large_weights(rng, trial):
+    """A seeded instance with n <= 12 whose weights come from few values,
+    so that ties are common: 0 only, 0..1, 0..2 and 0..3 in turn on even
+    trials, and 0, 1, 10**12 - 1, 10**12 and one random value below
+    10**12 on odd ones."""
+    n = rng.randint(0, 12)
+    shape = gen_random_intervals(
+        n,
+        coord_max=max(1, n * rng.choice((1, 2, 4))),
+        leader_fraction=rng.random(),
+        max_weight=0,
+        seed=trial,
+    )
+    big = 10**12
+    if trial % 2:
+        values = (0, 1, big - 1, big, rng.randint(0, big))
+    else:
+        values = range(1 + trial // 2 % 4)
+    return IntervalInstance(tuple(
+        Interval(iv.id, iv.start, iv.end, iv.owner,
+                 wl=rng.choice(values), wf=rng.choice(values))
+        for iv in shape.intervals
+    ))
+
+
+def _leader_positions(inst, ordered):
+    return [
+        k for k, iid in enumerate(ordered.order, start=1)
+        if inst.by_id[iid].owner is LEAD
+    ]
+
+
+class TestIntervalOraclesAgainstPreviousPath:
+    """``react_intervals`` and ``follower_block`` build their tie-break
+    integers over their own intervals and run the take-or-skip kernel; the
+    path they replace ran ``frank_dp`` on ``perturb`` of the whole
+    instance."""
+
+    def test_same_sets_as_frank_dp_on_perturb(self):
+        rng = random.Random(58)
+        for trial in range(1000):
+            inst = _tied_or_large_weights(rng, trial)
+            ordered = sort_and_index(inst)
+            order = ordered.order
+            for setting in (OPT, PES):
+                weight = perturb(inst, setting)
+                action = random_leader_action(rng, inst)
+                taken = [inst.by_id[i] for i in action]
+                free = [
+                    iv.id for iv in inst.intervals
+                    if iv.owner is FOLL and not any(iv.overlaps(t) for t in taken)
+                ]
+                _, want = reference_frank_dp(inst, weight, free)
+                got = react_intervals(inst, action, setting)
+                assert got == want, (trial, setting, action)
+                for j in [0, *_leader_positions(inst, ordered)]:
+                    cutoff = inst.by_id[order[j - 1]].end if j else None
+                    for k in range(j + 1, len(order) + 1):
+                        window = [
+                            iid for iid in order[j:k]
+                            if inst.by_id[iid].owner is FOLL
+                            and (cutoff is None or inst.by_id[iid].start >= cutoff)
+                        ]
+                        _, want = reference_frank_dp(inst, weight, window)
+                        got = follower_block(inst, ordered, j, k, setting)
+                        assert got == (
+                            sum(inst.by_id[i].wl for i in want), want
+                        ), (trial, setting, j, k)
+
+    def test_no_perturb_frank_dp_or_weight_sum(self, monkeypatch):
+        calls = {"perturb": 0, "frank_dp": 0, "weight_sum": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        for module in (core, single_level, follower, interval_dp):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(
+                        module, name, counted(name, getattr(module, name))
+                    )
+        rng = random.Random(59)
+        for seed in range(5):
+            inst = gen_random_intervals(60, 120, 0.5, 9, seed=seed)
+            ordered = sort_and_index(inst)
+            for setting in (OPT, PES):
+                react_intervals(inst, random_leader_action(rng, inst), setting)
+                for j in [0, *_leader_positions(inst, ordered)]:
+                    if j < len(ordered):
+                        follower_block(inst, ordered, j, len(ordered), setting)
+        assert calls == {"perturb": 0, "frank_dp": 0, "weight_sum": 0}

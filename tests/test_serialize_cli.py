@@ -227,6 +227,33 @@ class TestCli:
         ) == 0
         assert json.loads(capsys.readouterr().out)["follower_set"] == [1]
 
+    def test_follower_verify_and_solve_agree_on_an_odd_cycle(
+        self, tmp_path, capsys
+    ):
+        """A ``cs-db-o`` follower whose eligible pool is a triangle: the
+        reaction is a max-leader-weight independent set there, which
+        ``follower`` answers through the same brute fallback as ``verify``
+        and ``solve``."""
+        graph = BisGraph(
+            (Vertex(0, LEAD, 1, 1),)
+            + tuple(Vertex(i, FOLL, i, 1) for i in (1, 2, 3)),
+            ((1, 2), (1, 3), (2, 3)),
+        )
+        path = tmp_path / "triangle.json"
+        path.write_text(dumps(graph_to_dict(graph)))
+        args = ("--variant", "cs-db-o", "--input", str(path))
+        assert run_cli("follower", *args, "--leader", "0") == 0
+        follower = json.loads(capsys.readouterr().out)
+        assert follower["follower_set"] == [3]
+        assert follower["leader_value"] == 4
+        assert run_cli("solve", *args) == 0
+        solved = json.loads(capsys.readouterr().out)
+        assert solved["leader_set"] == [0]
+        assert solved["follower_set"] == follower["follower_set"]
+        assert solved["leader_value"] == follower["leader_value"]
+        assert run_cli("verify", *args, "--leader", "0", "--claimed", "4") == 0
+        assert capsys.readouterr().out.strip() == "true"
+
     def test_brute_matches_solve(self, tmp_path, capsys):
         path = tmp_path / "g1.json"
         path.write_text(dumps(graph_to_dict(g1())))

@@ -232,6 +232,17 @@ class TestMwisBipartite:
         with pytest.raises(EmptyRestrict):
             mwis_bipartite(g2(), {}, set(), require_nonempty=True)
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_unknown_id(self, weighted):
+        """An id outside the graph raises ``UnknownId``, not ``KeyError``,
+        whether or not ``weight`` has an entry for it."""
+        graph = g2()
+        weight = {v: CompositeWeight(1, 0) for v in graph.ids}
+        if weighted:
+            weight[42] = CompositeWeight(1, 0)
+        with pytest.raises(UnknownId):
+            mwis_bipartite(graph, weight, {0, 42})
+
     @pytest.mark.parametrize("sign", [0, 1, -1])
     def test_matches_reference_on_random_bipartite_graphs(self, sign):
         rng = random.Random(sign + 3)
