@@ -32,7 +32,7 @@ from .core import (
     to_interval_graph,
 )
 from .errors import CapExceeded, Infeasible
-from .reductions import B2cnfFormula
+from .reductions import B2cnfFormula, _check_simple
 
 FOLLOWER_CAP = 22
 FORCE_CAP = 16
@@ -256,9 +256,7 @@ def decide_vc_brute(
 ) -> bool:
     """True iff the graph has a vertex cover of size at most ``k``."""
     _check_cap(n, cap, "vertices")
-    for u, v in edges:
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"bad edge {(u, v)}")
+    edges = _check_simple(n, edges)
     for size in range(0, min(k, n) + 1):
         for subset in combinations(range(n), size):
             chosen = set(subset)

@@ -12,7 +12,7 @@ import sys
 
 from .bis_solvers import solve, verify_certificate
 from .brute import BISEL_CAP, FOLLOWER_CAP, FORCE_CAP, brute_bisel, brute_follower, brute_force
-from .core import BisGraph, IntervalInstance, Setting, Variant, make_outcome
+from .core import Setting, Variant, make_outcome
 from .errors import BadParameter, CapExceeded, Infeasible, SolverError
 from .follower import react
 from .interval_dp import solve_bisel
@@ -27,8 +27,10 @@ from .reductions import (
 from .serialize import (
     b2cnf_from_dict,
     dumps,
+    graph_from_dict,
     graph_to_dict,
     instance_from_dict,
+    intervals_from_dict,
     intervals_to_dict,
     load,
     outcome_to_dict,
@@ -39,26 +41,10 @@ _SETTINGS = {"o": Setting.OPTIMISTIC, "p": Setting.PESSIMISTIC}
 
 
 def _emit(data: dict, output: str | None) -> None:
-    text = dumps(data)
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        save(output, data)
     else:
-        sys.stdout.write(text)
-
-
-def _load_graph(path: str) -> BisGraph:
-    instance = instance_from_dict(load(path))
-    if not isinstance(instance, BisGraph):
-        raise ValueError("expected a graph instance file")
-    return instance
-
-
-def _load_intervals(path: str) -> IntervalInstance:
-    instance = instance_from_dict(load(path))
-    if not isinstance(instance, IntervalInstance):
-        raise ValueError("expected an interval instance file")
-    return instance
+        sys.stdout.write(dumps(data))
 
 
 def _parse_ids(text: str) -> frozenset[int]:
@@ -69,13 +55,13 @@ def _parse_ids(text: str) -> frozenset[int]:
 
 
 def _cmd_solve(args) -> int:
-    outcome = solve(_load_graph(args.input), Variant.from_code(args.variant))
+    outcome = solve(graph_from_dict(load(args.input)), Variant.from_code(args.variant))
     _emit(outcome_to_dict(outcome), args.output)
     return 0
 
 
 def _cmd_solve_intervals(args) -> int:
-    instance = _load_intervals(args.input)
+    instance = intervals_from_dict(load(args.input))
     outcome = solve_bisel(instance, _SETTINGS[args.setting])
     _emit(outcome_to_dict(outcome), args.output)
     return 0
@@ -92,7 +78,7 @@ def _cmd_follower(args) -> int:
 
 
 def _cmd_brute(args) -> int:
-    graph = _load_graph(args.input)
+    graph = graph_from_dict(load(args.input))
     variant = Variant.from_code(args.variant)
     if args.leader is not None:
         leader_set = _parse_ids(args.leader)
@@ -107,15 +93,10 @@ def _cmd_brute(args) -> int:
 
 
 def _cmd_brute_intervals(args) -> int:
-    instance = _load_intervals(args.input)
+    instance = intervals_from_dict(load(args.input))
     outcome = brute_bisel(instance, _SETTINGS[args.setting], cap=args.cap)
     _emit(outcome_to_dict(outcome), args.output)
     return 0
-
-
-def _graph_shape(path: str) -> tuple[int, list[tuple[int, int]]]:
-    graph = _load_graph(path)
-    return len(graph.vertices), list(graph.edges)
 
 
 def _cmd_reduce(args) -> int:
@@ -125,14 +106,14 @@ def _cmd_reduce(args) -> int:
     else:
         if args.k is None:
             raise ValueError(f"reduction {args.kind!r} requires --k")
-        n, edges = _graph_shape(args.input)
+        graph = graph_from_dict(load(args.input))
         builder = {
             "vc": vc_to_bis,
             "planar-vc": planar_vc_to_bipartite_bis,
             "vc-bipartite": vc_to_bipartite_bis,
             "is": is_to_bis,
         }[args.kind]
-        result = builder(n, edges, args.k)
+        result = builder(len(graph), list(graph.edges), args.k)
     save(args.output, graph_to_dict(result.graph))
     meta = {
         "kind": args.kind,
@@ -148,7 +129,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    graph = _load_graph(args.input)
+    graph = graph_from_dict(load(args.input))
     variant = Variant.from_code(args.variant)
     ok = verify_certificate(
         graph, variant, _parse_ids(args.leader), args.claimed

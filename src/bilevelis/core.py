@@ -39,10 +39,6 @@ class Setting(Enum):
     PESSIMISTIC = "pessimistic"
 
 
-_OBJ_CODES = {"s": Objective.SUM, "b": Objective.BOTTLENECK}
-_SETTING_CODES = {"o": Setting.OPTIMISTIC, "p": Setting.PESSIMISTIC}
-
-
 @dataclass(frozen=True)
 class Variant:
     """One of the eight problem variants: leader objective, follower
@@ -54,22 +50,11 @@ class Variant:
 
     @classmethod
     def from_code(cls, code: str) -> "Variant":
-        """Parse a compact code such as ``cs-db-p``."""
-        parts = code.lower().split("-")
-        if (
-            len(parts) != 3
-            or parts[0][:1] != "c"
-            or parts[1][:1] != "d"
-            or parts[0][1:] not in _OBJ_CODES
-            or parts[1][1:] not in _OBJ_CODES
-            or parts[2] not in _SETTING_CODES
-        ):
-            raise ValueError(f"bad variant code: {code!r}")
-        return cls(
-            _OBJ_CODES[parts[0][1:]],
-            _OBJ_CODES[parts[1][1:]],
-            _SETTING_CODES[parts[2]],
-        )
+        """Parse a compact code such as ``cs-db-p`` (any letter case)."""
+        try:
+            return _BY_CODE[code.lower()]
+        except KeyError:
+            raise ValueError(f"bad variant code: {code!r}") from None
 
     @property
     def code(self) -> str:
@@ -85,6 +70,7 @@ ALL_VARIANTS = tuple(
     for fo in Objective
     for st in Setting
 )
+_BY_CODE = {v.code: v for v in ALL_VARIANTS}
 
 
 @dataclass(frozen=True, order=True)

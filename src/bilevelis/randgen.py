@@ -16,6 +16,16 @@ from .errors import BadParameter
 from .interval_dp import solve_bisel
 
 
+def _check_common(n: int, leader_fraction: float, max_weight: int) -> None:
+    """The parameters both generators share."""
+    if n < 0:
+        raise BadParameter("n must be non-negative")
+    if not 0.0 <= leader_fraction <= 1.0:
+        raise BadParameter("leader_fraction must lie in [0, 1]")
+    if max_weight < 0:
+        raise BadParameter("max_weight must be non-negative")
+
+
 def gen_random_graph(
     n: int,
     edge_prob: float,
@@ -29,14 +39,9 @@ def gen_random_graph(
     With ``bipartite`` the vertices are first shuffled into two balanced
     sides and only cross-side pairs may become edges.
     """
-    if n < 0:
-        raise BadParameter("n must be non-negative")
+    _check_common(n, leader_fraction, max_weight)
     if not 0.0 <= edge_prob <= 1.0:
         raise BadParameter("edge_prob must lie in [0, 1]")
-    if not 0.0 <= leader_fraction <= 1.0:
-        raise BadParameter("leader_fraction must lie in [0, 1]")
-    if max_weight < 0:
-        raise BadParameter("max_weight must be non-negative")
     rng = random.Random(seed)
     vertices = tuple(
         Vertex(
@@ -73,14 +78,9 @@ def gen_random_intervals(
     seed: int = 0,
 ) -> IntervalInstance:
     """Random intervals with integer endpoints in ``[0, coord_max]``."""
-    if n < 0:
-        raise BadParameter("n must be non-negative")
+    _check_common(n, leader_fraction, max_weight)
     if coord_max < 1:
         raise BadParameter("coord_max must be at least 1")
-    if not 0.0 <= leader_fraction <= 1.0:
-        raise BadParameter("leader_fraction must lie in [0, 1]")
-    if max_weight < 0:
-        raise BadParameter("max_weight must be non-negative")
     rng = random.Random(seed)
     intervals = []
     for iid in range(n):

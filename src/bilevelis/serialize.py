@@ -40,6 +40,14 @@ def _require_keys(data: dict, expected: set[str], what: str) -> None:
         raise ValueError(f"{what}: " + ", ".join(parts))
 
 
+def _require_doc(data: dict, kind: str, fields: set[str]) -> None:
+    """An object whose ``type`` is ``kind`` and whose other fields are
+    exactly ``fields``; a wrong ``type`` is reported before any field."""
+    if isinstance(data, dict) and data.get("type", kind) != kind:
+        raise ValueError(f"expected type {kind!r}, got {data['type']!r}")
+    _require_keys(data, {"type", *fields}, kind)
+
+
 def _int(value: Any, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what}: expected an integer, got {value!r}")
@@ -70,9 +78,7 @@ def graph_to_dict(graph: BisGraph) -> dict:
 
 
 def graph_from_dict(data: dict) -> BisGraph:
-    _require_keys(data, {"type", "vertices", "edges"}, "graph")
-    if data["type"] != "graph":
-        raise ValueError(f"expected type 'graph', got {data['type']!r}")
+    _require_doc(data, "graph", {"vertices", "edges"})
     vertices = []
     for entry in _list(data["vertices"], "vertices"):
         _require_keys(entry, {"id", "owner", "wl", "wf"}, "vertex")
@@ -110,9 +116,7 @@ def intervals_to_dict(instance: IntervalInstance) -> dict:
 
 
 def intervals_from_dict(data: dict) -> IntervalInstance:
-    _require_keys(data, {"type", "intervals"}, "intervals")
-    if data["type"] != "intervals":
-        raise ValueError(f"expected type 'intervals', got {data['type']!r}")
+    _require_doc(data, "intervals", {"intervals"})
     intervals = []
     for entry in _list(data["intervals"], "intervals"):
         _require_keys(
@@ -185,9 +189,7 @@ def b2cnf_to_dict(formula: B2cnfFormula) -> dict:
 
 
 def b2cnf_from_dict(data: dict) -> B2cnfFormula:
-    _require_keys(data, {"type", "n1", "n2", "clauses"}, "b2cnf")
-    if data["type"] != "b2cnf":
-        raise ValueError(f"expected type 'b2cnf', got {data['type']!r}")
+    _require_doc(data, "b2cnf", {"n1", "n2", "clauses"})
     clauses = []
     for raw in _list(data["clauses"], "clauses"):
         lits = []

@@ -36,6 +36,30 @@ from bilevelis.reductions import B2cnfFormula, Literal
 from bilevelis.single_level import _MaxFlow, sort_and_index
 
 
+_OBJ_CODES = {"s": Objective.SUM, "b": Objective.BOTTLENECK}
+_SETTING_CODES = {"o": Setting.OPTIMISTIC, "p": Setting.PESSIMISTIC}
+
+
+def reference_variant_from_code(code: str) -> Variant:
+    """The hand-written variant-code grammar: ``c{s|b}-d{s|b}-{o|p}``
+    after lower-casing."""
+    parts = code.lower().split("-")
+    if (
+        len(parts) != 3
+        or parts[0][:1] != "c"
+        or parts[1][:1] != "d"
+        or parts[0][1:] not in _OBJ_CODES
+        or parts[1][1:] not in _OBJ_CODES
+        or parts[2] not in _SETTING_CODES
+    ):
+        raise ValueError(f"bad variant code: {code!r}")
+    return Variant(
+        _OBJ_CODES[parts[0][1:]],
+        _OBJ_CODES[parts[1][1:]],
+        _SETTING_CODES[parts[2]],
+    )
+
+
 def powerset(items):
     items = list(items)
     for size in range(len(items) + 1):

@@ -290,6 +290,11 @@ class TestDecideVc:
         with pytest.raises(ValueError):
             decide_vc_brute(2, [(0, 0)], 1)
 
+    @pytest.mark.parametrize("edges", [[(0, 1), (0, 1)], [(0, 1), (1, 0)]])
+    def test_duplicate_edge(self, edges):
+        with pytest.raises(ValueError, match="duplicate edges"):
+            decide_vc_brute(3, edges, 1)
+
     def test_matches_reference_on_random_graphs(self):
         rng = random.Random(19)
         for trial in range(50):

@@ -16,11 +16,14 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from bilevelis.brute import brute_follower, brute_force
 from bilevelis.cli import main
-from bilevelis.core import ALL_VARIANTS
+from bilevelis.core import ALL_VARIANTS, Variant
+from bilevelis.errors import Infeasible
+from bilevelis.serialize import graph_from_dict
 
 MAX_ITEMS = 6
 
@@ -168,3 +171,35 @@ def test_any_input_file_ends_in_a_documented_exit_code(command, data, doc):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             code = main([command, *rest, "--input", path])
     assert code in {0, 1, 2, 3}
+
+
+def _ids(text):
+    text = text.strip()
+    return frozenset(int(p) for p in text.split(",")) if text else frozenset()
+
+
+@pytest.mark.parametrize("command", ["solve", "follower", "brute"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), doc=graph_docs())
+def test_exit_1_only_where_the_brute_oracle_is_infeasible(command, data, doc):
+    """Graphs of at most ``MAX_ITEMS`` vertices stay within the brute caps,
+    so a fast path that answers "infeasible" is checked against
+    ``brute_force`` (whole game) or ``brute_follower`` (given ``--leader``)."""
+    rest = data.draw(command_lines(command), label="argv")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main([command, *rest, "--input", path])
+    event(f"exit {code}")
+    if code != 1:
+        return
+    graph = graph_from_dict(doc)
+    variant = Variant.from_code(rest[1])
+    leader = [a.removeprefix("--leader=") for a in rest if a.startswith("--leader=")]
+    with pytest.raises(Infeasible):
+        if leader:
+            brute_follower(graph, _ids(leader[0]), variant)
+        else:
+            brute_force(graph, variant)

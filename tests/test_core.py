@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bilevelis.core import (
+    ALL_VARIANTS,
     BisGraph,
     CompositeWeight,
     Interval,
@@ -24,6 +26,7 @@ from bilevelis.core import (
 from bilevelis.errors import BottleneckOfEmptySet, UnknownId
 from bilevelis.fixtures import g1, g2, i1, showcase
 from bilevelis.randgen import gen_random_intervals
+from helpers import reference_variant_from_code
 
 SUM, BOT = Objective.SUM, Objective.BOTTLENECK
 LEAD, FOLL = Owner.LEADER, Owner.FOLLOWER
@@ -186,6 +189,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             Interval(0, -1, 3, LEAD, 1, 1)
 
+    @pytest.mark.parametrize("wl, wf", [(-1, 0), (0, -1)])
+    def test_interval_negative_weight_rejected(self, wl, wf):
+        with pytest.raises(ValueError, match="negative weight"):
+            Interval(0, 0, 1, FOLL, wl, wf)
+
     def test_duplicate_interval_ids(self):
         with pytest.raises(ValueError, match="duplicate"):
             IntervalInstance(
@@ -202,6 +210,33 @@ class TestVariantAndOutcome:
     def test_bad_variant_code(self):
         with pytest.raises(ValueError):
             Variant.from_code("cs-ds-x")
+
+    def test_variant_codes_match_the_grammar(self):
+        """The table lookup accepts exactly the strings the hand-written
+        grammar accepts and returns equal variants; both reject with the
+        same message."""
+        alphabet = ["", "c", "d", "s", "b", "o", "p", "x", "C", "S", "B",
+                    "D", "O", "P", "cs", "cb", "ds", "db", "CS", "Db", "cS"]
+        codes = ["-".join(p) for p in itertools.product(alphabet, repeat=3)]
+        codes += ["-".join(p) for p in itertools.product(alphabet[:8], repeat=2)]
+        codes += ["-".join(p) for p in itertools.product(alphabet[:8], repeat=4)]
+        codes += ["cs-ds-o-", "-cs-ds-o", "csdso", "cs_ds_o", "cs--ds-o"]
+        codes += [pad.format(v.code) for v in ALL_VARIANTS
+                  for pad in (" {}", "{} ", "\t{}", "{}\n", " {} ")]
+        codes += [v.code.upper() for v in ALL_VARIANTS]
+        accepted = set()
+        for code in codes:
+            try:
+                want = reference_variant_from_code(code)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    Variant.from_code(code)
+                assert str(got.value) == str(exc)
+            else:
+                assert Variant.from_code(code) == want
+                accepted.add(code)
+        assert {Variant.from_code(c) for c in accepted} == set(ALL_VARIANTS)
+        assert len(accepted) == 4 * 3 * 4 + 8  # case spellings in the alphabet
 
     def test_outcome_values_come_from_evaluate(self):
         variant = Variant(SUM, BOT, Setting.OPTIMISTIC)

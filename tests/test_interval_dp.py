@@ -171,6 +171,38 @@ class TestTablesAndReconstruct:
         with pytest.raises(CorruptTables):
             reconstruct(tables, i1(), OPT)
 
+    # Two overlapping leader intervals: the walk back reads the skip record
+    # at position 2, then the take record at position 1.
+    _TAKE_SKIP = IntervalInstance((
+        Interval(1, 0, 2, LEAD, 4, 1),
+        Interval(2, 1, 3, LEAD, 1, 1),
+    ))
+
+    def test_take_and_skip_records_reconstruct(self):
+        tables = compute_tables(self._TAKE_SKIP, OPT)
+        assert tables.choice == {1: ("take",), 2: ("skip",)}
+        assert reconstruct(tables, self._TAKE_SKIP, OPT) == (
+            frozenset({1}), frozenset()
+        )
+
+    def test_missing_record_detected(self):
+        tables = compute_tables(self._TAKE_SKIP, OPT)
+        del tables.choice[1]
+        with pytest.raises(CorruptTables, match="no record for position 1"):
+            reconstruct(tables, self._TAKE_SKIP, OPT)
+
+    def test_tampered_take_record_detected(self):
+        tables = compute_tables(self._TAKE_SKIP, OPT)
+        tables.choice[2] = ("take",)
+        with pytest.raises(CorruptTables, match="take record at 2"):
+            reconstruct(tables, self._TAKE_SKIP, OPT)
+
+    def test_tampered_skip_record_detected(self):
+        tables = compute_tables(self._TAKE_SKIP, OPT)
+        tables.opt[-1] += 1
+        with pytest.raises(CorruptTables, match="skip record at 2"):
+            reconstruct(tables, self._TAKE_SKIP, OPT)
+
     def test_cached_block_weights_match_recomputation(self):
         inst = showcase()
         tables = compute_tables(inst, PES)

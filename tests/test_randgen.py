@@ -66,6 +66,19 @@ class TestGenRandomIntervals:
         with pytest.raises(BadParameter):
             gen_random_intervals(5, 0, 0.5, 9, seed=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(n=-1, leader_fraction=0.5, max_weight=3), "n must be"),
+            (dict(n=3, leader_fraction=-0.1, max_weight=3), "leader_fraction"),
+            (dict(n=3, leader_fraction=1.5, max_weight=3), "leader_fraction"),
+            (dict(n=3, leader_fraction=0.5, max_weight=-2), "max_weight"),
+        ],
+    )
+    def test_bad_parameters(self, kwargs, message):
+        with pytest.raises(BadParameter, match=message):
+            gen_random_intervals(coord_max=10, seed=0, **kwargs)
+
 
 class TestBenchDp:
     def test_row_per_size(self):

@@ -119,6 +119,37 @@ class TestRoundTrips:
         assert graph_from_dict(json.loads(text)) == g1()
 
 
+class TestLoaderErrors:
+    """Each loader names the type it expected before any field check."""
+
+    @pytest.mark.parametrize("loader, kind, doc", [
+        (graph_from_dict, "graph", intervals_to_dict(i1())),
+        (intervals_from_dict, "intervals", graph_to_dict(g1())),
+        (b2cnf_from_dict, "b2cnf", graph_to_dict(g1())),
+    ], ids=["graph", "intervals", "b2cnf"])
+    def test_wrong_type_named_first(self, loader, kind, doc):
+        with pytest.raises(
+            ValueError, match=f"^expected type '{kind}', got '{doc['type']}'$"
+        ):
+            loader(doc)
+
+    def test_missing_type_is_a_missing_field(self):
+        data = graph_to_dict(g1())
+        del data["type"]
+        with pytest.raises(ValueError, match=r"missing fields \['type'\]"):
+            graph_from_dict(data)
+
+    def test_literal_neg_must_be_a_bool(self):
+        data = b2cnf_to_dict(B2cnfFormula(1, 0, ((Literal("X", 1, False),) * 3,)))
+        data["clauses"][0][1]["neg"] = 0
+        with pytest.raises(ValueError, match="'neg' must be a boolean"):
+            b2cnf_from_dict(data)
+
+    def test_literal_var_is_one_based(self):
+        with pytest.raises(ValueError, match="1-based"):
+            Literal("X", 0, False)
+
+
 class TestStrictness:
     def test_unknown_field_rejected(self):
         data = graph_to_dict(g1())
@@ -451,3 +482,27 @@ class TestCli:
             "gen", "graph", "--n", "5", "--edge-prob", "1.5",
             "--output", str(tmp_path / "x.json"),
         ) == 2
+
+
+@pytest.mark.parametrize("command, doc", [
+    (["solve", "--variant", "cs-ds-o"], intervals_to_dict(i1())),
+    (["brute", "--variant", "cs-ds-o"], intervals_to_dict(i1())),
+    (["verify", "--variant", "cs-ds-o", "--leader", "", "--claimed", "0"],
+     intervals_to_dict(i1())),
+    (["reduce", "vc", "--k", "1", "--output", "OUT"], intervals_to_dict(i1())),
+    (["solve-intervals", "--setting", "o"], graph_to_dict(g1())),
+    (["brute-intervals", "--setting", "o"], graph_to_dict(g1())),
+], ids=["solve", "brute", "verify", "reduce-vc", "solve-intervals",
+        "brute-intervals"])
+def test_wrong_type_file_exits_2_naming_the_type(tmp_path, capsys, command, doc):
+    path = tmp_path / "in.json"
+    path.write_text(dumps(doc))
+    argv = [str(tmp_path / "out.json") if a == "OUT" else a for a in command]
+    assert run_cli(*argv, "--input", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = "intervals" if doc["type"] == "graph" else "graph"
+    assert captured.err == (
+        f"error: expected type {expected!r}, got {doc['type']!r}\n"
+    )
+    assert not (tmp_path / "out.json").exists()
