@@ -32,20 +32,31 @@ _CS_DB_O = Variant(Objective.SUM, Objective.BOTTLENECK, Setting.OPTIMISTIC)
 _CS_DB_P = Variant(Objective.SUM, Objective.BOTTLENECK, Setting.PESSIMISTIC)
 
 
+def _alone_or_abstain(
+    graph: BisGraph, variant: Variant, action: Iterable[int] | None
+) -> BilevelOutcome:
+    """The leader's better outcome of playing ``action`` alone (``None``
+    when there are no leaders), which the follower never joins, and of
+    abstaining, which ``react_bottleneck`` answers; ``action`` on a tie."""
+    if not len(graph):
+        raise Infeasible("empty graph")
+    candidates: list[BilevelOutcome] = []
+    if action is not None:
+        candidates.append(make_outcome(graph, variant, action, frozenset()))
+    if graph.follower_ids:
+        reaction = react_bottleneck(graph, frozenset(), variant)
+        candidates.append(make_outcome(graph, variant, frozenset(), reaction))
+    return max(candidates, key=lambda o: o.leader_value)
+
+
 def solve_cb_db_o(graph: BisGraph) -> BilevelOutcome:
     """Optimistic bottleneck/bottleneck: the follower never plays against
     a nonempty action, so the leader compares her best single vertex with
     what the follower would pick if she abstains."""
-    if not len(graph):
-        raise Infeasible("empty graph")
-    candidates: list[BilevelOutcome] = []
+    action = None
     if graph.leader_ids:
-        best = max(graph.leader_ids, key=lambda v: (graph.item(v).wl, -v))
-        candidates.append(make_outcome(graph, _CB_DB_O, {best}, frozenset()))
-    if graph.follower_ids:
-        reaction = react_bottleneck(graph, frozenset(), _CB_DB_O)
-        candidates.append(make_outcome(graph, _CB_DB_O, frozenset(), reaction))
-    return max(candidates, key=lambda o: o.leader_value)
+        action = {max(graph.leader_ids, key=lambda v: (graph.item(v).wl, -v))}
+    return _alone_or_abstain(graph, _CB_DB_O, action)
 
 
 def solve_cs_db_o_bipartite(graph: BisGraph) -> BilevelOutcome:
@@ -90,26 +101,13 @@ def solve_cs_db_p_bipartite(graph: BisGraph) -> BilevelOutcome:
     """Pessimistic sum/bottleneck on bipartite graphs: a nonempty action is
     never joined by the follower, so the leader plays her own best
     independent set or abstains and accepts the follower's spite pick."""
-    if not len(graph):
-        raise Infeasible("empty graph")
     bipartition(graph)
-    candidates: list[BilevelOutcome] = []
+    action = None
     if graph.leader_ids:
-        _, chosen = mwis_by_owner(
+        _, action = mwis_by_owner(
             graph, graph.leader_ids, Owner.LEADER, require_nonempty=True
         )
-        candidates.append(make_outcome(graph, _CS_DB_P, chosen, frozenset()))
-    if graph.follower_ids:
-        reaction = react_bottleneck(graph, frozenset(), _CS_DB_P)
-        candidates.append(make_outcome(graph, _CS_DB_P, frozenset(), reaction))
-    return max(candidates, key=lambda o: o.leader_value)
-
-
-def _oracle_reaction(
-    graph: BisGraph, leader_set: frozenset[int], variant: Variant
-) -> frozenset[int]:
-    """``react`` under one name, through which oracle calls are counted."""
-    return react(graph, leader_set, variant)
+    return _alone_or_abstain(graph, _CS_DB_P, action)
 
 
 def _view_key(mask: int, nonempty: bool, cap: float | None) -> tuple:
@@ -140,13 +138,12 @@ def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
       extending the action or adding a reaction only lowers the minimum.
 
     The output is that of visiting every action.  The incumbent changes
-    only on a strictly larger value, or on an equal value with a smaller
-    (leader tuple, reaction tuple), and every action the search reaches
-    later has a larger leader tuple; so a skipped action could at best tie
-    and lose.  Nor can a skipped action hide an ``OracleUnavailable``:
-    only a sum follower's oracle raises it, on an odd cycle among the
-    followers an action leaves free, and the empty action, asked first and
-    never skipped, leaves them all free.  The bound only falls as ``start``
+    only on a strictly larger value, so of equal values the first visited,
+    the smallest leader tuple, wins, and a skipped action could at best tie
+    and lose.  Nor can a skipped action hide an ``OracleUnavailable``: only
+    a sum follower's oracle raises it, on an odd cycle among the followers
+    an action leaves free, and the empty action, asked first and never
+    skipped, leaves them all free.  The bound only falls as ``start``
     grows, so a node stops trying further leaders at the first index whose
     bound is beaten.  The search keeps an explicit stack, so a large action
     cannot exhaust the recursion limit.
@@ -190,9 +187,7 @@ def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
         infeasible, else the reaction's ``wl`` sum (for a bottleneck leader,
         its minimum) and the sorted reaction."""
         try:
-            reaction = sorted(
-                _oracle_reaction(graph, frozenset(chosen), variant)
-            )
+            reaction = sorted(react(graph, frozenset(chosen), variant))
         except Infeasible:
             return None
         weights = [wl[u] for u in reaction]
@@ -215,10 +210,8 @@ def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
             if view is None:
                 continue
             value = node[2] + view[0] if sum_leader else min(node[3], view[0])
-            if value > best_value or value == best_value and (
-                (tuple(chosen), view[1]) < best[1:]
-            ):
-                best = (value, tuple(chosen), view[1])
+            if value > best_value:
+                best = tuple(chosen), view[1]
                 best_value = value
             continue
         i = node[0]
@@ -270,7 +263,7 @@ def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
         fresh = True
     if best is None:
         raise Infeasible("no feasible leader/follower pair exists")
-    return make_outcome(graph, variant, best[1], best[2])
+    return make_outcome(graph, variant, *best)
 
 
 def solve(graph: BisGraph, variant: Variant) -> BilevelOutcome:
@@ -302,7 +295,7 @@ def verify_certificate(
     checks the action before it does any work)."""
     lset = frozenset(leader_set)
     try:
-        reaction = _oracle_reaction(graph, lset, variant)
+        reaction = react(graph, lset, variant)
     except (ValueError, Infeasible):
         return False
     value = evaluate(variant.leader_obj, Owner.LEADER, lset | reaction, graph)

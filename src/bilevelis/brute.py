@@ -68,11 +68,10 @@ class _Ground:
 
     @classmethod
     def build(cls, instance: Instance) -> "_Ground":
-        if isinstance(instance, BisGraph):
-            graph, ids = instance, list(instance.ids)
-        else:
+        graph = instance
+        if isinstance(instance, IntervalInstance):
             graph = to_interval_graph(instance)
-            ids = sorted(iv.id for iv in instance.intervals)
+        ids = list(instance.ids)
         conflict = [0] * len(ids)
         for u, v in graph.edges:
             conflict[u] |= 1 << v

@@ -322,7 +322,7 @@ def to_interval_graph(instance: IntervalInstance) -> BisGraph:
     the correspondence is the identity, so a selection is pairwise
     disjoint exactly when its image is independent.
     """
-    ordered = sorted(instance.intervals, key=lambda iv: iv.id)
+    ordered = instance.intervals
     verts = tuple(
         Vertex(idx, iv.owner, iv.wl, iv.wf) for idx, iv in enumerate(ordered)
     )

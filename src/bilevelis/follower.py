@@ -45,11 +45,13 @@ def perturb(
     return {it.id: CompositeWeight(it.wf, sign * it.wl) for it in items}
 
 
-def _tie_break(items: list, setting: Setting) -> dict[int, int]:
-    """``_collapse`` of ``perturb``'s pairs over ``items``, built as ints."""
+def _tie_break(items: list, setting: Setting) -> tuple[int, dict[int, int]]:
+    """``_collapse`` of ``perturb``'s pairs over ``items``, built as ints,
+    with its base ``1 + wl(items)``: a sum of them reads its leader weight
+    back as ``sign * total % base``."""
     sign = 1 if setting is Setting.OPTIMISTIC else -1
     base = 1 + sum(it.wl for it in items)
-    return {it.id: it.wf * base + sign * it.wl for it in items}
+    return base, {it.id: it.wf * base + sign * it.wl for it in items}
 
 
 def _best_intervals(
@@ -57,7 +59,7 @@ def _best_intervals(
 ) -> frozenset[int]:
     """The follower's tie-broken optimum among the intervals ``items``."""
     ordered = sort_and_index(instance, [it.id for it in items])
-    return _take_or_skip(ordered, _tie_break(items, setting))
+    return _take_or_skip(ordered, _tie_break(items, setting)[1])
 
 
 def react_intervals(
@@ -109,7 +111,7 @@ def react_sum_graph(
     lset, free = _free_followers(graph, leader_set)
     if not free:
         return frozenset()
-    scaled = _tie_break([graph.vertices[v] for v in free], setting)
+    _, scaled = _tie_break([graph.vertices[v] for v in free], setting)
     return frozenset(single_level._min_cut_mwis(graph, scaled, not lset))
 
 

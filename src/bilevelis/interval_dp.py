@@ -28,12 +28,10 @@ from .core import (
     Variant,
     Objective,
     make_outcome,
-    scale_base,
 )
 from .errors import CorruptTables, IndexOutOfRange
-from .follower import _best_intervals, perturb, react_intervals
-# ``frank_dp`` stays bound here, where tests check that no pass calls it.
-from .single_level import SortedIntervals, frank_dp, sort_and_index
+from .follower import _best_intervals, _tie_break, react_intervals
+from .single_level import SortedIntervals, sort_and_index
 
 
 @dataclass
@@ -71,7 +69,7 @@ def follower_block(
     not meet interval ``j`` (every candidate ends at or after interval
     ``j`` does, so disjointness reduces to starting at or after its end;
     ``j = 0`` is the sentinel and excludes nothing).  Returns the block's
-    total leader weight and the block itself, computed with perturbed
+    total leader weight and the block itself, computed with tie-break
     weights so ties already respect the setting.  ``compute_tables`` gets
     the same leader weights from its prefix passes; this is their
     independent reference.
@@ -97,8 +95,8 @@ def compute_tables(instance: IntervalInstance, setting: Setting) -> DpTables:
     ``j``, one take-or-skip pass over the follower intervals after ``j``
     that start at or after interval ``j``'s end (``_take_or_skip`` run on
     a growing prefix) gives ``follower_block(j, k)``'s leader weight for
-    every later ``k``.  The pass adds perturbed weights collapsed with
-    ``scale = scale_base(instance)``, so a block sums to
+    every later ``k``.  The pass adds the follower oracles' tie-break
+    integers over all intervals, with base ``scale``, so a block sums to
     ``F * scale + sign * L`` with leader weight ``0 <= L < scale``, which
     reads back as ``sign * best[-1] % scale``.  Each follower position
     keeps the first ``j`` with the largest ``opt[prev[j]] + wl_j + block``.
@@ -109,11 +107,10 @@ def compute_tables(instance: IntervalInstance, setting: Setting) -> DpTables:
     opt = [0] * (n + 1)
     prev = ordered.prev_disjoint
     items = [instance.by_id[iid] for iid in ordered.order]
-    weight = perturb(instance, setting)
-    scale = scale_base(instance)
+    scale, weight = _tie_break(items, setting)
     sign = 1 if setting is Setting.OPTIMISTIC else -1
     followers = [
-        (k, iv, weight[iv.id].scaled(scale))
+        (k, iv, weight[iv.id])
         for k, iv in enumerate(items, start=1)
         if iv.owner is Owner.FOLLOWER
     ]
@@ -202,8 +199,6 @@ def reconstruct(
 def solve_bisel(instance: IntervalInstance, setting: Setting) -> BilevelOutcome:
     """Optimal bilevel interval selection under sum objectives."""
     variant = Variant(Objective.SUM, Objective.SUM, setting)
-    if not len(instance):
-        return make_outcome(instance, variant, frozenset(), frozenset())
     tables = compute_tables(instance, setting)
     leader, follower = reconstruct(tables, instance, setting)
     return make_outcome(instance, variant, leader, follower)

@@ -37,7 +37,8 @@ def gen_random_graph(
     """Uniform random graph with random ownership and weights.
 
     With ``bipartite`` the vertices are first shuffled into two balanced
-    sides and only cross-side pairs may become edges.
+    sides and only cross-side pairs may become edges.  Pairs are drawn
+    lazily in increasing order, so memory grows with the edges, not n².
     """
     _check_common(n, leader_fraction, max_weight)
     if not 0.0 <= edge_prob <= 1.0:
@@ -58,14 +59,14 @@ def gen_random_graph(
         order = list(range(n))
         rng.shuffle(order)
         side = {v: i < (n + 1) // 2 for i, v in enumerate(order)}
-        pairs = [
+        pairs = (
             (u, v)
             for u in range(n)
             for v in range(u + 1, n)
             if side[u] != side[v]
-        ]
+        )
     else:
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
     edges = tuple(p for p in pairs if rng.random() < edge_prob)
     return BisGraph(vertices, edges)
 

@@ -12,7 +12,6 @@ import random
 from collections import deque
 from itertools import combinations, combinations_with_replacement
 
-from bilevelis.bis_solvers import _oracle_reaction
 from bilevelis.core import (
     BilevelOutcome,
     BisGraph,
@@ -30,7 +29,7 @@ from bilevelis.core import (
     weight_sum,
 )
 from bilevelis.errors import EmptyRestrict, Infeasible, NotBipartite
-from bilevelis.follower import _free_followers
+from bilevelis.follower import _free_followers, react
 from bilevelis.interval_dp import DpTables, follower_block
 from bilevelis.reductions import B2cnfFormula, Literal
 from bilevelis.single_level import _MaxFlow, sort_and_index
@@ -169,6 +168,29 @@ def random_leader_action(rng: random.Random, instance) -> frozenset[int]:
     return frozenset(chosen)
 
 
+def reference_gen_random_graph(
+    n: int, edge_prob: float, leader_fraction: float, max_weight: int,
+    bipartite: bool = False, seed: int = 0,
+) -> BisGraph:
+    """The list-building reference for ``gen_random_graph``: the same
+    draws, but every candidate pair is listed before any edge is drawn."""
+    rng = random.Random(seed)
+    vertices = []
+    for v in range(n):
+        owner = Owner.LEADER if rng.random() < leader_fraction else Owner.FOLLOWER
+        wl = rng.randint(0, max_weight)
+        wf = rng.randint(0, max_weight)
+        vertices.append(Vertex(v, owner, wl, wf))
+    pairs = list(combinations(range(n), 2))
+    if bipartite:
+        order = list(range(n))
+        rng.shuffle(order)
+        side = {v: i < (n + 1) // 2 for i, v in enumerate(order)}
+        pairs = [(u, v) for u, v in pairs if side[u] != side[v]]
+    edges = [p for p in pairs if rng.random() < edge_prob]
+    return BisGraph(tuple(vertices), tuple(edges))
+
+
 def connected_graphs_up_to_iso(max_n: int) -> list[tuple[int, list[tuple[int, int]]]]:
     """All connected simple graphs with at most ``max_n`` vertices, one
     representative per isomorphism class (canonicalized by minimizing the
@@ -279,7 +301,7 @@ def reference_solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOut
     def consider(leader_set: frozenset[int]) -> None:
         nonlocal best
         try:
-            reaction = _oracle_reaction(graph, leader_set, variant)
+            reaction = react(graph, leader_set, variant)
         except Infeasible:
             return
         value = evaluate(

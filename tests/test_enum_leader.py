@@ -21,16 +21,16 @@ V = Variant.from_code
 
 @pytest.fixture
 def oracle_calls(monkeypatch):
-    """Counts ``_oracle_reaction`` calls of the solver and the reference."""
+    """Counts ``react`` calls of the solver and the reference."""
     calls = [0]
-    oracle = bis_solvers._oracle_reaction
+    oracle = bis_solvers.react
 
     def counted(*args):
         calls[0] += 1
         return oracle(*args)
 
-    monkeypatch.setattr(bis_solvers, "_oracle_reaction", counted)
-    monkeypatch.setattr(helpers, "_oracle_reaction", counted)
+    monkeypatch.setattr(bis_solvers, "react", counted)
+    monkeypatch.setattr(helpers, "react", counted)
     return calls
 
 

@@ -279,7 +279,9 @@ class TestSweepAgainstAllPairs:
                     )
 
     def test_one_perturb_and_no_frank_dp_per_call(self, monkeypatch):
-        calls = {"perturb": 0, "frank_dp": 0}
+        """One tie-break encoding of the whole instance per call, and no
+        per-block follower optimum: the prefix passes price every block."""
+        calls = {"_tie_break": 0, "_best_intervals": 0}
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
@@ -287,18 +289,16 @@ class TestSweepAgainstAllPairs:
                 return func(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(
-            interval_dp, "perturb", counted("perturb", interval_dp.perturb)
-        )
-        monkeypatch.setattr(
-            interval_dp, "frank_dp", counted("frank_dp", interval_dp.frank_dp)
-        )
+        for name in calls:
+            monkeypatch.setattr(
+                interval_dp, name, counted(name, getattr(interval_dp, name))
+            )
         for seed in range(5):
             inst = gen_random_intervals(60, 120, 0.5, 9, seed=seed)
             for setting in (OPT, PES):
-                calls.update(perturb=0, frank_dp=0)
+                calls.update(_tie_break=0, _best_intervals=0)
                 tables = compute_tables(inst, setting)
-                assert calls == {"perturb": 1, "frank_dp": 0}
+                assert calls == {"_tie_break": 1, "_best_intervals": 0}
                 followers = sum(iv.owner is FOLL for iv in inst.intervals)
                 assert len(tables.sol_leader_weight) == followers
 

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import pytest
 
 from bilevelis.core import Owner
 from bilevelis.errors import BadParameter
 from bilevelis.randgen import bench_dp, gen_random_graph, gen_random_intervals
+from bilevelis.serialize import dumps, graph_to_dict
 from bilevelis.single_level import is_bipartite
+from helpers import reference_gen_random_graph
 
 
 class TestGenRandomGraph:
@@ -34,6 +38,29 @@ class TestGenRandomGraph:
         assert all(v.owner is Owner.LEADER for v in all_lead.vertices)
         all_foll = gen_random_graph(20, 0.1, 0.0, 3, seed=5)
         assert all(v.owner is Owner.FOLLOWER for v in all_foll.vertices)
+
+    @pytest.mark.parametrize("bipartite", [False, True])
+    @pytest.mark.parametrize("n, edge_prob", [
+        (0, 0.5), (1, 1.0), (2, 1.0), (7, 0.0), (13, 0.3), (30, 0.1),
+        (41, 0.9), (60, 0.05),
+    ])
+    def test_same_file_as_list_building_reference(self, n, edge_prob, bipartite):
+        for seed in range(3):
+            args = (n, edge_prob, 0.4, 9)
+            got = gen_random_graph(*args, bipartite=bipartite, seed=seed)
+            want = reference_gen_random_graph(*args, bipartite=bipartite, seed=seed)
+            assert dumps(graph_to_dict(got)) == dumps(graph_to_dict(want))
+
+    def test_memory_grows_with_edges_not_pairs(self):
+        # A list of all n(n-1)/2 = 499,500 pairs peaks at about 45 MiB.
+        tracemalloc.start()
+        try:
+            graph = gen_random_graph(1000, 0.0, 0.5, 9, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.edges == ()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize(
         "kwargs",

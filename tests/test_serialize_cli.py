@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bilevelis.cli import main
 from bilevelis.core import (
+    ALL_VARIANTS,
     BilevelOutcome,
     BisGraph,
     Interval,
@@ -506,3 +507,37 @@ def test_wrong_type_file_exits_2_naming_the_type(tmp_path, capsys, command, doc)
         f"error: expected type {expected!r}, got {doc['type']!r}\n"
     )
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("code", [v.code for v in ALL_VARIANTS])
+def test_solve_empty_graph_is_infeasible(tmp_path, capsys, code):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(_graph_body([], [])))
+    assert run_cli("solve", "--variant", code, "--input", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("infeasible: ")
+
+
+@pytest.mark.parametrize("setting", ["o", "p"])
+def test_solve_intervals_on_empty_file(tmp_path, capsys, setting):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"type": "intervals", "intervals": []}))
+    assert run_cli("solve-intervals", "--setting", setting, "--input", str(path)) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "leader_value": 0, "follower_value": 0,
+        "leader_set": [], "follower_set": [],
+    }
+
+
+@pytest.mark.parametrize("edge", [[0], [0, 1, 2], "0-1", {"u": 0}])
+def test_edge_that_is_not_a_pair_exits_2(tmp_path, capsys, edge):
+    vertices = [
+        {"id": v, "owner": "follower", "wl": 1, "wf": 1} for v in range(3)
+    ]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_graph_body(vertices, [edge])))
+    assert run_cli("solve", "--variant", "cs-db-p", "--input", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "edge must be a pair" in captured.err
