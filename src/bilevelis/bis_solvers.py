@@ -157,110 +157,102 @@ def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
     ranks reactions by the minimum of the cap and their own ``wf``, then
     by ``wl(chosen)`` plus their own ``wl``, so it reads no more.  A view's
     answer, ``Infeasible`` included, thus holds for every action with that
-    view.  The search keeps a bitmask of the followers adjacent to
-    ``chosen`` and, per node, ``wl(chosen)``, ``min wl(chosen)``, the cap
-    and the ``wl`` of the unblocked leaders from ``start`` on.  It reads
-    the leader's value off those and the view's reaction, and updates them
-    from the vertices a push newly blocks, so an action costs O(deg v)
-    beside the oracle's misses.
+    view.  Each stack entry is the list of its node's state: ``start``, the
+    ``wl`` of the unblocked leaders from ``start`` on, the bitmask of every
+    vertex adjacent to ``chosen``, the ``wl`` of the free followers,
+    ``wl(chosen)``, ``min wl(chosen)`` and the cap.  A push builds the
+    child's entry from its parent's and the vertices it newly blocks, then
+    visits the child's action, so an action costs O(deg v) beside the
+    oracle's misses.  A pop drops the entry and its leader from ``chosen``.
     """
     leaders = graph.leader_ids
     adjacency = graph.adjacency
+    adjacency_bits = graph.adjacency_bits
     wl = [v.wl for v in graph.vertices]
     wf = [v.wf for v in graph.vertices]
     rank = [-1] * len(graph)  # per vertex: its leader index, -1 if a follower
     for k, v in enumerate(leaders):
         rank[v] = k
+    follower_bits = sum(1 << v for v in graph.follower_ids)
     sum_leader = variant.leader_obj is Objective.SUM
     capped = variant.follower_obj is Objective.BOTTLENECK
     spite = variant == _CS_DB_P  # the follower never joins a nonempty action
     chosen: list[int] = []
-    blocked = [0] * len(graph)  # per vertex: its neighbors in `chosen`
-    mask = 0  # the followers adjacent to `chosen`, bit `1 << id`
-    free_wl = sum(wl[v] for v in graph.follower_ids)  # wl of the free ones
-    views: dict[tuple, tuple | None] = {}  # view -> answer()
+    views: dict[tuple, tuple | None] = {}  # view -> (value, reaction) or None
     best: tuple | None = None
     best_value = -math.inf
 
-    def answer() -> tuple | None:
-        """The oracle's answer to ``chosen`` as a view's entry: ``None`` if
-        infeasible, else the reaction's ``wl`` sum (for a bottleneck leader,
-        its minimum) and the sorted reaction."""
-        try:
-            reaction = sorted(react(graph, frozenset(chosen), variant))
-        except Infeasible:
-            return None
-        weights = [wl[u] for u in reaction]
-        if sum_leader:
-            return sum(weights), tuple(reaction)
-        return min(weights, default=math.inf), tuple(reaction)
+    def visit(node: list) -> None:
+        """Answer the action of ``node`` once per view (the view's entry is
+        ``None`` if infeasible, else the reaction's ``wl`` sum or minimum and
+        the sorted reaction) and keep it if it beats the incumbent."""
+        nonlocal best, best_value
+        key = _view_key(
+            node[2] & follower_bits, bool(chosen), node[6] if capped else None
+        )
+        if key not in views:
+            try:
+                reaction = sorted(react(graph, frozenset(chosen), variant))
+            except Infeasible:
+                views[key] = None
+            else:
+                weights = [wl[u] for u in reaction]
+                views[key] = (
+                    sum(weights) if sum_leader
+                    else min(weights, default=math.inf)
+                ), tuple(reaction)
+        view = views[key]
+        if view is None:
+            return
+        value = node[4] + view[0] if sum_leader else min(node[5], view[0])
+        if value > best_value:
+            best = tuple(chosen), view[1]
+            best_value = value
 
-    # A node is the list [start, wl of the leaders from index start on that
-    # `chosen` leaves unblocked, wl(chosen), min wl(chosen), min wf(chosen)].
-    stack = [[0, sum(wl[v] for v in leaders), 0, math.inf, math.inf]]
-    fresh = True  # the top node's action is not answered yet
-    while stack:
-        node = stack[-1]
-        if fresh:
-            fresh = False
-            key = _view_key(mask, bool(chosen), node[4] if capped else None)
-            if key not in views:
-                views[key] = answer()
-            view = views[key]
-            if view is None:
-                continue
-            value = node[2] + view[0] if sum_leader else min(node[3], view[0])
-            if value > best_value:
-                best = tuple(chosen), view[1]
-                best_value = value
-            continue
-        i = node[0]
+    root = [0, sum(wl[v] for v in leaders), 0,
+            sum(wl[v] for v in graph.follower_ids), 0, math.inf, math.inf]
+    visit(root)
+    stack = [root]
+    while True:
+        i, rest, blocked, free, total, low, cap = node = stack[-1]
         if not sum_leader:
-            limit = node[3]
+            limit = low
         elif spite and chosen:
-            limit = node[2] + node[1]
+            limit = total + rest
         else:
-            limit = node[2] + node[1] + free_wl
+            limit = total + rest + free
         if i == len(leaders) or limit <= best_value:
+            if not chosen:
+                break
             stack.pop()
-            if chosen:
-                for u in adjacency[chosen.pop()]:
-                    blocked[u] -= 1
-                    if not blocked[u] and rank[u] < 0:
-                        mask ^= 1 << u
-                        free_wl += wl[u]
+            chosen.pop()
             continue
         v = leaders[i]
         node[0] = i + 1
-        if blocked[v]:
+        if blocked >> v & 1:
             continue
         w = wl[v]
-        node[1] -= w  # the leaders from index i + 1 lack v
+        node[1] = rest = rest - w  # the leaders from index i + 1 lack v
         # The bound of the child node, from the vertices v newly blocks.
-        rest = node[1]
-        low = w if w < node[3] else node[3]
+        if w < low:
+            low = w
         if sum_leader:
-            free = free_wl
             for u in adjacency[v]:
-                if not blocked[u]:
+                if not blocked >> u & 1:
                     if rank[u] < 0:
                         free -= wl[u]
                     elif rank[u] > i:
                         rest -= wl[u]
-            limit = node[2] + w + rest + (0 if spite else free)
+            limit = total + w + rest + (0 if spite else free)
         else:
             limit = low
         if limit <= best_value:
             continue
         chosen.append(v)
-        for u in adjacency[v]:
-            if not blocked[u] and rank[u] < 0:
-                mask |= 1 << u
-                free_wl -= wl[u]
-            blocked[u] += 1
-        cap = wf[v] if wf[v] < node[4] else node[4]
-        stack.append([i + 1, rest, node[2] + w, low, cap])
-        fresh = True
+        child = [i + 1, rest, blocked | adjacency_bits[v], free, total + w,
+                 low, wf[v] if wf[v] < cap else cap]
+        stack.append(child)
+        visit(child)
     if best is None:
         raise Infeasible("no feasible leader/follower pair exists")
     return make_outcome(graph, variant, *best)

@@ -60,7 +60,7 @@ class _Ground:
 
     ids: list[int]
     pos: dict[int, int]
-    conflict: list[int]
+    conflict: tuple[int, ...]
     wl: list[int]
     wf: list[int]
     leader_positions: list[int]
@@ -72,15 +72,11 @@ class _Ground:
         if isinstance(instance, IntervalInstance):
             graph = to_interval_graph(instance)
         ids = list(instance.ids)
-        conflict = [0] * len(ids)
-        for u, v in graph.edges:
-            conflict[u] |= 1 << v
-            conflict[v] |= 1 << u
         items = graph.vertices
         return cls(
             ids=ids,
             pos={iid: p for p, iid in enumerate(ids)},
-            conflict=conflict,
+            conflict=graph.adjacency_bits,
             wl=[it.wl for it in items],
             wf=[it.wf for it in items],
             leader_positions=[

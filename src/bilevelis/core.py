@@ -175,6 +175,15 @@ class BisGraph:
         return {k: frozenset(s) for k, s in adj.items()}
 
     @cached_property
+    def adjacency_bits(self) -> tuple[int, ...]:
+        """Per vertex id, its neighbours as a bitmask with bit ``1 << u``."""
+        bits = [0] * len(self.vertices)
+        for u, v in self.edges:
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
+        return tuple(bits)
+
+    @cached_property
     def leader_ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.vertices if v.owner is Owner.LEADER)
 

@@ -54,7 +54,8 @@ def sort_and_index(
     for k, iv in enumerate(items, start=1):
         prev.append(bisect.bisect_right(ends, iv.start, 0, k - 1))
     # A list, not a generator: CPython resizes a generator's tuple into a free
-    # list it never draws from, and one call per DP block fills them all.
+    # list it never draws from.  Every interval solve and follower reaction
+    # calls this, so a process that serves many of them would fill them all.
     return SortedIntervals(tuple([iv.id for iv in items]), tuple(prev))
 
 
@@ -113,7 +114,8 @@ def bipartition(
     Each connected component of the induced subgraph gets color 0 at its
     smallest vertex, so the first class always holds that vertex.  The
     minimum-cut independent set depends on which class feeds the source,
-    so this orientation is part of ``mwis_bipartite``'s output contract.
+    so this orientation is part of the output contract of ``_min_cut_mwis``,
+    which colors its own vertices.
     """
     nodes = set(graph.ids) if restrict is None else set(restrict)
     adjacency = graph.adjacency

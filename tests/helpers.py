@@ -256,7 +256,7 @@ def all_small_b2cnf(max_clauses: int) -> list[B2cnfFormula]:
 
 def reference_compute_tables(instance: IntervalInstance, setting) -> DpTables:
     """The all-pairs interval DP: one ``follower_block`` call, i.e. one
-    ``perturb`` and one ``frank_dp``, per (leader position, follower
+    ``_tie_break`` and one ``_take_or_skip``, per (leader position, follower
     position) pair.  The slow reference for ``compute_tables``."""
     ordered = sort_and_index(instance)
     tables = DpTables(sorted_intervals=ordered)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -25,7 +26,7 @@ from bilevelis.core import (
 )
 from bilevelis.errors import BottleneckOfEmptySet, UnknownId
 from bilevelis.fixtures import g1, g2, i1, showcase
-from bilevelis.randgen import gen_random_intervals
+from bilevelis.randgen import gen_random_graph, gen_random_intervals
 from helpers import reference_variant_from_code
 
 SUM, BOT = Objective.SUM, Objective.BOTTLENECK
@@ -122,6 +123,45 @@ class TestIntervalGraph:
             assert intervals_pairwise_disjoint(inst, sel) == is_independent(
                 graph, sel
             )
+
+
+def _bits_of(neighbors):
+    return sum(1 << u for u in neighbors)
+
+
+class TestAdjacencyBits:
+    def test_agrees_with_adjacency_on_random_graphs(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            graph = gen_random_graph(
+                rng.randint(0, 40), rng.uniform(0.0, 0.6), 0.4, 9,
+                bipartite=seed % 2 == 0, seed=seed,
+            )
+            assert len(graph.adjacency_bits) == len(graph)
+            for v in graph.ids:
+                assert graph.adjacency_bits[v] == _bits_of(graph.adjacency[v])
+
+    def test_agrees_with_overlaps_on_non_dense_interval_ids(self):
+        # Vertex p of the interval graph is the p-th smallest id, so its
+        # bit q is set exactly when the p-th and q-th intervals overlap.
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(0, 14)
+            dense = gen_random_intervals(n, 20, 0.5, 5, seed=seed)
+            ids = rng.sample(range(-50, 1000), n)
+            inst = IntervalInstance(tuple(
+                dataclasses.replace(iv, id=iid)
+                for iv, iid in zip(dense.intervals, ids)
+            ))
+            graph = to_interval_graph(inst)
+            ordered = sorted(inst.intervals, key=lambda iv: iv.id)
+            for p, iv in enumerate(ordered):
+                expected = _bits_of(
+                    q for q, other in enumerate(ordered)
+                    if q != p and iv.overlaps(other)
+                )
+                assert graph.adjacency_bits[p] == expected
+                assert graph.adjacency_bits[p] == _bits_of(graph.adjacency[p])
 
 
 class TestCompositeWeight:

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -198,15 +199,20 @@ def test_kernel_calls_with_view_cache(kernel_calls, code, calls):
     assert kernel_calls[0] == calls
 
 
-def test_cli_solve_many_independent_leaders(tmp_path, capsys, oracle_calls):
-    # 1,500 isolated leaders and one follower: an action of 1,500 leaders
-    # would exhaust the recursion limit of a recursive search.
+def _isolated_leaders():
+    """1,500 isolated leaders and one follower."""
     n = 1500
-    graph = BisGraph(
+    return BisGraph(
         tuple(Vertex(i, Owner.LEADER, 1 + i % 5, 1) for i in range(n))
         + (Vertex(n, Owner.FOLLOWER, 0, 1),),
         (),
     )
+
+
+def test_cli_solve_many_independent_leaders(tmp_path, capsys, oracle_calls):
+    # 1,500 isolated leaders and one follower: an action of 1,500 leaders
+    # would exhaust the recursion limit of a recursive search.
+    graph = _isolated_leaders()
     path = tmp_path / "many.json"
     path.write_text(dumps(graph_to_dict(graph)))
     began = time.perf_counter()
@@ -218,6 +224,22 @@ def test_cli_solve_many_independent_leaders(tmp_path, capsys, oracle_calls):
     # the search visits every prefix of the full action, then every sibling
     # loop breaks at once; those actions share two views, empty and not
     assert oracle_calls[0] == 2
+
+
+def test_search_memory_on_many_independent_leaders():
+    # The stack grows to 1,501 entries.  Entries that each held their own
+    # copy of the action would need memory quadratic in its size (about
+    # 9 MiB here); one `chosen` list beside the stack keeps the peak,
+    # adjacency and oracle calls included, near 0.8 MiB.
+    graph = _isolated_leaders()
+    tracemalloc.start()
+    try:
+        outcome = solve_enum_leader(graph, V("cs-ds-o"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.leader_value == 4500
+    assert peak < 2 * 2**20
 
 
 # Hand-built graphs on which a view cache with a wrong key changes the
