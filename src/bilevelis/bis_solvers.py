@@ -124,18 +124,21 @@ def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
     A depth-first search visits the actions as sorted leader tuples in
     lexicographic order.  Its node ``(chosen, start)`` stands for the
     action ``chosen`` and every extension of it by compatible leaders at
-    index ``start`` or later.  The search skips a node, and its whole
-    subtree, when an upper bound on the leader's value over the subtree is
-    at most the incumbent's value:
-
-    * sum leader: ``wl(chosen)``, plus ``wl`` of the leaders at index
-      ``start`` or later that are not adjacent to ``chosen``, plus ``wl``
-      of the followers not adjacent to ``chosen``, from which every
-      reaction is drawn.  Under ``cs-db-p`` the follower term is dropped
-      once ``chosen`` is nonempty, since ``react_bottleneck`` answers every
-      nonempty action with the empty set;
-    * bottleneck leader, ``chosen`` nonempty: ``min wl(chosen)``, because
-      extending the action or adding a reaction only lowers the minimum.
+    index ``start`` or later.  Each stack entry is the list of its node's
+    state: ``start``; ``open``, the ``wl`` of the vertices that may still
+    join the union; the bitmask of every vertex adjacent to ``chosen``;
+    ``value``, which is ``wl(chosen)`` for a sum leader and ``min
+    wl(chosen)`` for a bottleneck leader; and the cap ``min wf(chosen)``.
+    The open vertices of a sum leader are the leaders from ``start`` on and
+    the followers that ``chosen`` leaves free, except under ``cs-db-p``,
+    where ``react_bottleneck`` answers every nonempty action with the empty
+    set.  A bottleneck leader has ``open`` 0, since extending the action or
+    adding a reaction only lowers the minimum.  So ``value + open`` bounds
+    the leader's value over the node's subtree, and the search skips the
+    subtree, at a pop or before a push, when that is at most the
+    incumbent's value.  Under ``cs-db-p`` the root's bound leaves out the
+    followers too, which is sound because the empty action is visited
+    before the search starts, so every action a bound covers is nonempty.
 
     The output is that of visiting every action.  The incumbent changes
     only on a strictly larger value, so of equal values the first visited,
@@ -151,18 +154,14 @@ def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
     The oracle is asked once per *view* of an action, which determines its
     reaction: the followers it leaves free (a graph oracle's ground set),
     whether it is empty (the empty action needs a nonempty reaction) and,
-    for a bottleneck follower, its cap ``min wf(chosen)`` (which free
-    followers are eligible).  ``react``'s brute fallback (``cs-db-o``
-    only, since no other bottleneck-follower oracle needs an MWIS)
-    ranks reactions by the minimum of the cap and their own ``wf``, then
-    by ``wl(chosen)`` plus their own ``wl``, so it reads no more.  A view's
-    answer, ``Infeasible`` included, thus holds for every action with that
-    view.  Each stack entry is the list of its node's state: ``start``, the
-    ``wl`` of the unblocked leaders from ``start`` on, the bitmask of every
-    vertex adjacent to ``chosen``, the ``wl`` of the free followers,
-    ``wl(chosen)``, ``min wl(chosen)`` and the cap.  A push builds the
-    child's entry from its parent's and the vertices it newly blocks, then
-    visits the child's action, so an action costs O(deg v) beside the
+    for a bottleneck follower, its cap (which free followers are
+    eligible).  ``react``'s brute fallback (``cs-db-o`` only, since no
+    other bottleneck-follower oracle needs an MWIS) ranks reactions by the
+    minimum of the cap and their own ``wf``, then by ``wl(chosen)`` plus
+    their own ``wl``, so it reads no more.  A view's answer, ``Infeasible``
+    included, thus holds for every action with that view.  A push builds
+    the child's entry from its parent's and the vertices it newly blocks,
+    then visits the child's action, so an action costs O(deg v) beside the
     oracle's misses.  A pop drops the entry and its leader from ``chosen``.
     """
     leaders = graph.leader_ids
@@ -170,13 +169,14 @@ def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
     adjacency_bits = graph.adjacency_bits
     wl = [v.wl for v in graph.vertices]
     wf = [v.wf for v in graph.vertices]
-    rank = [-1] * len(graph)  # per vertex: its leader index, -1 if a follower
+    sum_leader = variant.leader_obj is Objective.SUM
+    capped = variant.follower_obj is Objective.BOTTLENECK
+    # Per vertex: a leader's index; a follower's is past every leader's if
+    # its wl counts in ``open``, else -1.
+    rank = [len(leaders) if variant != _CS_DB_P else -1] * len(graph)
     for k, v in enumerate(leaders):
         rank[v] = k
     follower_bits = sum(1 << v for v in graph.follower_ids)
-    sum_leader = variant.leader_obj is Objective.SUM
-    capped = variant.follower_obj is Objective.BOTTLENECK
-    spite = variant == _CS_DB_P  # the follower never joins a nonempty action
     chosen: list[int] = []
     views: dict[tuple, tuple | None] = {}  # view -> (value, reaction) or None
     best: tuple | None = None
@@ -188,7 +188,7 @@ def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
         the sorted reaction) and keep it if it beats the incumbent."""
         nonlocal best, best_value
         key = _view_key(
-            node[2] & follower_bits, bool(chosen), node[6] if capped else None
+            node[2] & follower_bits, bool(chosen), node[4] if capped else None
         )
         if key not in views:
             try:
@@ -204,24 +204,18 @@ def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
         view = views[key]
         if view is None:
             return
-        value = node[4] + view[0] if sum_leader else min(node[5], view[0])
+        value = node[3] + view[0] if sum_leader else min(node[3], view[0])
         if value > best_value:
             best = tuple(chosen), view[1]
             best_value = value
 
-    root = [0, sum(wl[v] for v in leaders), 0,
-            sum(wl[v] for v in graph.follower_ids), 0, math.inf, math.inf]
+    open_ = sum(wl[v] for v in graph.ids if rank[v] >= 0) if sum_leader else 0
+    root = [0, open_, 0, 0 if sum_leader else math.inf, math.inf]
     visit(root)
     stack = [root]
     while True:
-        i, rest, blocked, free, total, low, cap = node = stack[-1]
-        if not sum_leader:
-            limit = low
-        elif spite and chosen:
-            limit = total + rest
-        else:
-            limit = total + rest + free
-        if i == len(leaders) or limit <= best_value:
+        i, open_, blocked, value, cap = node = stack[-1]
+        if i == len(leaders) or value + open_ <= best_value:
             if not chosen:
                 break
             stack.pop()
@@ -232,25 +226,19 @@ def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
         if blocked >> v & 1:
             continue
         w = wl[v]
-        node[1] = rest = rest - w  # the leaders from index i + 1 lack v
-        # The bound of the child node, from the vertices v newly blocks.
-        if w < low:
-            low = w
         if sum_leader:
+            node[1] = open_ = open_ - w  # the leaders from index i + 1 lack v
+            value += w
             for u in adjacency[v]:
-                if not blocked >> u & 1:
-                    if rank[u] < 0:
-                        free -= wl[u]
-                    elif rank[u] > i:
-                        rest -= wl[u]
-            limit = total + w + rest + (0 if spite else free)
-        else:
-            limit = low
-        if limit <= best_value:
+                if rank[u] > i and not blocked >> u & 1:
+                    open_ -= wl[u]
+        elif w < value:
+            value = w
+        if value + open_ <= best_value:
             continue
         chosen.append(v)
-        child = [i + 1, rest, blocked | adjacency_bits[v], free, total + w,
-                 low, wf[v] if wf[v] < cap else cap]
+        child = [i + 1, open_, blocked | adjacency_bits[v], value,
+                 wf[v] if wf[v] < cap else cap]
         stack.append(child)
         visit(child)
     if best is None:

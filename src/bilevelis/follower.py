@@ -178,7 +178,10 @@ def react_sum_graph_bottleneck(
     unrestricted optimum, so the thresholds that reach it are exactly those
     up to the answer.  A binary search over the sorted distinct thresholds
     finds it with a logarithmic number of independent-set computations;
-    the reaction is the set computed at the winning threshold.
+    the reaction is the set computed at the winning threshold.  The empty
+    action needs a nonempty reaction, so every computation is then forced
+    nonempty, and if all free followers have ``wf`` 0 the top threshold's
+    single vertex of the largest ``wl`` and the smallest id wins.
 
     Pessimistically it is the cheapest single vertex that some maximum-sum
     reaction contains, found by one independent-set computation per
@@ -187,13 +190,10 @@ def react_sum_graph_bottleneck(
     lset, free = _free_followers(graph, leader_set)
     if not free:
         return frozenset()
-    target, best = mwis_by_owner(graph, free, Owner.FOLLOWER)
+    target, best = mwis_by_owner(
+        graph, free, Owner.FOLLOWER, require_nonempty=not lset
+    )
     wl = {v: graph.item(v).wl for v in free}
-
-    if target == 0 and not lset and setting is Setting.OPTIMISTIC:
-        # Every reaction ties at zero for the follower, but the empty
-        # action forces a nonempty one: the best single leader weight.
-        return frozenset({max(free, key=lambda v: (wl[v], -v))})
 
     if setting is Setting.OPTIMISTIC:
         # thresholds[lo] reaches the target (the lowest keeps every free
@@ -204,7 +204,9 @@ def react_sum_graph_bottleneck(
         while hi - lo > 1:
             mid = (lo + hi) // 2
             pool = [v for v in free if wl[v] >= thresholds[mid]]
-            value, chosen = mwis_by_owner(graph, pool, Owner.FOLLOWER)
+            value, chosen = mwis_by_owner(
+                graph, pool, Owner.FOLLOWER, require_nonempty=not lset
+            )
             if value == target:
                 lo, best = mid, chosen
             else:

@@ -1,5 +1,6 @@
 """Branch-and-bound leader enumeration against the unpruned reference."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -93,13 +94,29 @@ def _differential_graphs(count):
         )
 
 
+def _heavy_followers(graph):
+    """``graph`` with every follower's ``wl`` multiplied by 10, so that
+    follower weight dominates the sum leader's bound."""
+    return BisGraph(
+        tuple(
+            v if v.owner is Owner.LEADER
+            else dataclasses.replace(v, wl=10 * v.wl)
+            for v in graph.vertices
+        ),
+        graph.edges,
+    )
+
+
 def test_matches_unpruned_reference(oracle_calls):
     # Equal outcomes include equal error types.  In particular no case has
     # the reference raise OracleUnavailable while the pruned search returns:
     # only a sum follower's oracle raises it, on an odd cycle among the
     # followers an action leaves free, and the empty action, asked first
-    # and never skipped, leaves them all free.
-    for graph in _differential_graphs(320):
+    # and never skipped, leaves them all free.  The heavy-follower copies
+    # test the cs-db-p bound, which leaves follower weight out even at the
+    # root.
+    graphs = list(_differential_graphs(320))
+    for graph in graphs + [_heavy_followers(g) for g in graphs]:
         for variant in ALL_VARIANTS:
             want, ref_calls = _run(
                 reference_solve_enum_leader, graph, variant, oracle_calls
