@@ -7,7 +7,7 @@ parameters, 3 brute-force cap exceeded.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 
 from .bis_solvers import solve, verify_certificate
@@ -101,6 +101,8 @@ def _cmd_brute_intervals(args) -> int:
 
 def _cmd_reduce(args) -> int:
     if args.kind == "b2cnf":
+        if args.k is not None:
+            raise ValueError("reduction 'b2cnf' takes no --k")
         formula = b2cnf_from_dict(load(args.input))
         result = b2cnf_to_bis(formula)
     else:
@@ -171,7 +173,9 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it is shared, so do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="bilevelis",
         description="Exact bilevel independent-set / interval-selection toolkit",
@@ -259,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except (SolverError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (SolverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 from itertools import combinations
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bilevelis.cli import main
+from bilevelis.cli import build_parser, main
 from bilevelis.core import (
     ALL_VARIANTS,
     BilevelOutcome,
@@ -478,6 +479,19 @@ class TestCli:
         ) == 2
         assert f"{field} must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["2", "-3"])
+    def test_b2cnf_reduction_takes_no_k(self, tmp_path, capsys, k):
+        path = tmp_path / "src.json"
+        path.write_text(json.dumps(_b2cnf_body([])))
+        out = tmp_path / "out.json"
+        assert run_cli(
+            "reduce", "b2cnf", "--k", k, "--input", str(path), "--output", str(out)
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: reduction 'b2cnf' takes no --k\n"
+        assert not out.exists()
+
     def test_gen_rejects_bad_probability(self, tmp_path):
         assert run_cli(
             "gen", "graph", "--n", "5", "--edge-prob", "1.5",
@@ -541,3 +555,56 @@ def test_edge_that_is_not_a_pair_exits_2(tmp_path, capsys, edge):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "edge must be a pair" in captured.err
+
+
+def test_repeated_main_calls_reuse_one_parser(tmp_path, capsys, monkeypatch):
+    """A mixed sequence of ``main`` calls gives the same exit code, stdout
+    and stderr when run again in reverse order in the same process, and
+    only the first call of the process builds argument parsers."""
+    graph, intervals = tmp_path / "g1.json", tmp_path / "i1.json"
+    graph.write_text(dumps(graph_to_dict(g1())))
+    intervals.write_text(dumps(intervals_to_dict(i1())))
+    sequence = [
+        ["solve", "--variant", "cs-ds-o", "--input", str(graph)],
+        ["follower", "--variant", "cs-ds-p", "--leader", "0",
+         "--input", str(graph)],
+        ["follower", "--variant", "cs-ds-o", "--leader", "",
+         "--input", str(intervals)],
+        ["verify", "--variant", "cs-ds-o", "--leader", "0", "--claimed", "2",
+         "--input", str(graph)],
+        ["solve", "--variant", "cs-ds-o", "--input", str(intervals)],
+        ["solve", "--input", str(graph)],
+        ["--help"],
+    ]
+    constructed = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal constructed
+        constructed += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+
+    def run(argv):
+        before = constructed
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return (code, captured.out, captured.err), constructed - before
+
+    first, built = zip(*(run(argv) for argv in sequence))
+    assert built == (10, 0, 0, 0, 0, 0, 0)
+    assert [result[0] for result in first] == [
+        0, 0, 0, 0, 2, ("exit", 2), ("exit", 0),
+    ]
+    assert first[4][2] == "error: expected type 'graph', got 'intervals'\n"
+    assert "the following arguments are required: --variant" in first[5][2]
+    assert first[6][1].startswith("usage: bilevelis")
+
+    second, built = zip(*(run(argv) for argv in reversed(sequence)))
+    assert built == (0,) * len(sequence)
+    assert second[::-1] == first
