@@ -167,8 +167,7 @@ def solve_enum_leader(graph: BisGraph, variant: Variant) -> BilevelOutcome:
     leaders = graph.leader_ids
     adjacency = graph.adjacency
     adjacency_bits = graph.adjacency_bits
-    wl = [v.wl for v in graph.vertices]
-    wf = [v.wf for v in graph.vertices]
+    wl, wf = graph.wl, graph.wf
     sum_leader = variant.leader_obj is Objective.SUM
     capped = variant.follower_obj is Objective.BOTTLENECK
     # Per vertex: a leader's index; a follower's is past every leader's if

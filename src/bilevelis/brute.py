@@ -9,12 +9,15 @@ Both levels of the bilevel enumeration run on one search, ``_extensions``,
 which visits sets in increasing order of their sorted id tuples.  The last
 tie-break of every oracle, "smallest id tuple wins", is therefore "first
 visited wins": an incumbent is replaced only by a strictly better candidate.
+
+Positions are the vertex ids of the conflict graph (the instance itself, or
+``to_interval_graph`` of intervals): position ``p`` holds the ``p``-th
+smallest item id, so increasing positions are increasing ids.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -24,7 +27,6 @@ from .core import (
     Instance,
     IntervalInstance,
     Objective,
-    Owner,
     Setting,
     Variant,
     check_leader_action,
@@ -50,62 +52,34 @@ def _check_cap(size: int, cap: int, what: str) -> None:
         raise CapExceeded(f"{size} {what} exceed cap {cap}")
 
 
-@dataclass
-class _Ground:
-    """Items flattened to positions with bitmask conflict sets.
+def _ids_of(ids: Sequence[int], mask: int) -> tuple[int, ...]:
+    """The item ids at the positions set in ``mask``, in increasing order."""
+    return tuple(iid for p, iid in enumerate(ids) if mask >> p & 1)
 
-    Position ``p`` holds the ``p``-th smallest id (on graphs, whose ids are
-    dense from 0, the id itself), so increasing positions are increasing ids.
-    """
 
-    ids: list[int]
-    pos: dict[int, int]
-    conflict: tuple[int, ...]
-    wl: list[int]
-    wf: list[int]
-    leader_positions: list[int]
-    follower_positions: list[int]
+def _state(graph: BisGraph, positions: list[int], variant: Variant) -> tuple:
+    """``(mask, d, c)`` of the set at ``positions``: its bitmask and its
+    follower and leader values (a sum, or a minimum that is +infinity over
+    nothing)."""
+    d, c = ([w[p] for p in positions] for w in (graph.wf, graph.wl))
+    return (
+        sum(1 << p for p in positions),
+        sum(d) if variant.follower_obj is Objective.SUM
+        else min(d, default=math.inf),
+        sum(c) if variant.leader_obj is Objective.SUM
+        else min(c, default=math.inf),
+    )
 
-    @classmethod
-    def build(cls, instance: Instance) -> "_Ground":
-        graph = instance
-        if isinstance(instance, IntervalInstance):
-            graph = to_interval_graph(instance)
-        ids = list(instance.ids)
-        items = graph.vertices
-        return cls(
-            ids=ids,
-            pos={iid: p for p, iid in enumerate(ids)},
-            conflict=graph.adjacency_bits,
-            wl=[it.wl for it in items],
-            wf=[it.wf for it in items],
-            leader_positions=[
-                p for p, it in enumerate(items) if it.owner is Owner.LEADER
-            ],
-            follower_positions=[
-                p for p, it in enumerate(items) if it.owner is Owner.FOLLOWER
-            ],
-        )
 
-    def ids_of(self, mask: int) -> tuple[int, ...]:
-        return tuple(self.ids[p] for p in range(len(self.ids)) if mask >> p & 1)
-
-    def state(self, positions: list[int], variant: Variant) -> tuple:
-        """``(mask, d, c)`` of the set at ``positions``: its bitmask and its
-        follower and leader values (a sum, or a minimum that is +infinity
-        over nothing)."""
-        d, c = ([w[p] for p in positions] for w in (self.wf, self.wl))
-        return (
-            sum(1 << p for p in positions),
-            sum(d) if variant.follower_obj is Objective.SUM
-            else min(d, default=math.inf),
-            sum(c) if variant.leader_obj is Objective.SUM
-            else min(c, default=math.inf),
-        )
+def _conflict_graph(instance: Instance) -> BisGraph:
+    """The instance itself, or the conflict graph of an interval instance."""
+    if isinstance(instance, IntervalInstance):
+        return to_interval_graph(instance)
+    return instance
 
 
 def _extensions(
-    ground: _Ground, positions: Sequence[int], start: tuple, variant: Variant
+    graph: BisGraph, positions: Sequence[int], start: tuple, variant: Variant
 ) -> Iterator[tuple]:
     """Every extension of the set ``start = (mask, d, c)`` by a subset of
     ``positions`` that keeps it conflict-free, as ``(mask, d, c)`` with the
@@ -120,7 +94,7 @@ def _extensions(
     """
     d_sum = variant.follower_obj is Objective.SUM
     c_sum = variant.leader_obj is Objective.SUM
-    wl, wf, conflict = ground.wl, ground.wf, ground.conflict
+    wl, wf, conflict = graph.wl, graph.wf, graph.adjacency_bits
     free = sum(1 << p for p in positions if not conflict[p] & start[0])
     stack = [(free, *start)]
     while stack:
@@ -142,7 +116,7 @@ def _extensions(
 
 
 def _best_reaction(
-    ground: _Ground, action: tuple, variant: Variant, require_nonempty: bool
+    graph: BisGraph, action: tuple, variant: Variant, require_nonempty: bool
 ) -> tuple | None:
     """Enumerate every follower reaction compatible with the leader action
     ``(mask, d, c)``.
@@ -157,9 +131,7 @@ def _best_reaction(
     """
     optimistic = variant.setting is Setting.OPTIMISTIC
     best = None
-    for mask, d, c in _extensions(
-        ground, ground.follower_positions, action, variant
-    ):
+    for mask, d, c in _extensions(graph, graph.follower_ids, action, variant):
         if require_nonempty and not mask:
             continue
         if (
@@ -188,13 +160,14 @@ def brute_follower(
     lset = frozenset(leader_set)
     _check_cap(len(instance.follower_ids), cap, "follower items")
     check_leader_action(instance, lset)
-    ground = _Ground.build(instance)
-    action = ground.state([ground.pos[i] for i in lset], variant)
+    graph, ids = _conflict_graph(instance), instance.ids
+    positions = [p for p, iid in enumerate(ids) if iid in lset]
+    action = _state(graph, positions, variant)
     nonempty = isinstance(instance, BisGraph)
-    best = _best_reaction(ground, action, variant, require_nonempty=nonempty)
+    best = _best_reaction(graph, action, variant, require_nonempty=nonempty)
     if best is None:
         raise Infeasible("the follower has no admissible reaction")
-    return frozenset(ground.ids_of(best[1]))
+    return frozenset(_ids_of(ids, best[1]))
 
 
 def _optimum(
@@ -205,17 +178,17 @@ def _optimum(
     id-tuple order and only a strictly larger leader value replaces the
     incumbent, so ties go to the smallest (leader ids, follower ids) pair
     (each leader action has one reaction)."""
-    ground = _Ground.build(instance)
-    empty = ground.state([], variant)
+    graph, ids = _conflict_graph(instance), instance.ids
+    empty = _state(graph, [], variant)
     best = None  # (c, leader mask, follower mask)
-    for action in _extensions(ground, ground.leader_positions, empty, variant):
-        reaction = _best_reaction(ground, action, variant, require_nonempty)
+    for action in _extensions(graph, graph.leader_ids, empty, variant):
+        reaction = _best_reaction(graph, action, variant, require_nonempty)
         if reaction is not None and (best is None or reaction[0] > best[0]):
             best = (reaction[0], action[0], reaction[1])
     if best is None:
         raise Infeasible("no feasible leader/follower pair exists")
     return make_outcome(
-        instance, variant, ground.ids_of(best[1]), ground.ids_of(best[2])
+        instance, variant, _ids_of(ids, best[1]), _ids_of(ids, best[2])
     )
 
 

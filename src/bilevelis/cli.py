@@ -142,9 +142,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.kind == "graph":
+        if args.coord_max is not None:
+            raise ValueError("gen graph takes no --coord-max")
         graph = gen_random_graph(
             n=args.n,
-            edge_prob=args.edge_prob,
+            edge_prob=0.3 if args.edge_prob is None else args.edge_prob,
             leader_fraction=args.leader_fraction,
             max_weight=args.max_weight,
             bipartite=args.bipartite,
@@ -152,9 +154,13 @@ def _cmd_gen(args) -> int:
         )
         _emit(graph_to_dict(graph), args.output)
     else:
+        if args.edge_prob is not None:
+            raise ValueError("gen intervals takes no --edge-prob")
+        if args.bipartite:
+            raise ValueError("gen intervals takes no --bipartite")
         instance = gen_random_intervals(
             n=args.n,
-            coord_max=args.coord_max,
+            coord_max=20 if args.coord_max is None else args.coord_max,
             leader_fraction=args.leader_fraction,
             max_weight=args.max_weight,
             seed=args.seed,
@@ -235,11 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="seeded random instance")
     p.add_argument("kind", choices=["graph", "intervals"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--edge-prob", type=float, default=0.3)
-    p.add_argument("--coord-max", type=int, default=20)
+    p.add_argument("--edge-prob", type=float, help="graph only, default 0.3")
+    p.add_argument("--coord-max", type=int, help="intervals only, default 20")
     p.add_argument("--leader-fraction", type=float, default=0.5)
     p.add_argument("--max-weight", type=int, default=9)
-    p.add_argument("--bipartite", action="store_true")
+    p.add_argument("--bipartite", action="store_true", help="graph only")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_gen)

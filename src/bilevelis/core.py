@@ -184,6 +184,16 @@ class BisGraph:
         return tuple(bits)
 
     @cached_property
+    def wl(self) -> tuple[int, ...]:
+        """Per vertex id, its leader weight."""
+        return tuple(v.wl for v in self.vertices)
+
+    @cached_property
+    def wf(self) -> tuple[int, ...]:
+        """Per vertex id, its follower weight."""
+        return tuple(v.wf for v in self.vertices)
+
+    @cached_property
     def leader_ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.vertices if v.owner is Owner.LEADER)
 

@@ -214,6 +214,15 @@ def _sparse_ids(instance: IntervalInstance, rng) -> IntervalInstance:
     ))
 
 
+def _negative_ids(instance: IntervalInstance, rng) -> IntervalInstance:
+    """The same intervals under ids from -30..29, with gaps, handed to
+    ``IntervalInstance`` in shuffled order."""
+    ids = rng.sample(range(-30, 30), len(instance))
+    intervals = [replace(iv, id=new) for iv, new in zip(instance.intervals, ids)]
+    rng.shuffle(intervals)
+    return IntervalInstance(tuple(intervals))
+
+
 def _ids_pair(out) -> tuple:
     return tuple(sorted(out.leader_set)), tuple(sorted(out.follower_set))
 
@@ -264,6 +273,36 @@ class TestSmallestIdTupleTieBreak:
         for trial in range(40):
             inst = _sparse_ids(
                 gen_random_intervals(rng.randint(0, 8), 10, 0.5, 1, seed=trial),
+                rng,
+            )
+            want = reference_optimum(inst, variant, False)
+            assert _ids_pair(brute_bisel(inst, setting)) == want
+
+
+class TestNegativeIntervalIds:
+    """Positions read back to ids on interval instances whose ids are
+    negative, have gaps and come unsorted, against the references."""
+
+    @pytest.mark.parametrize("code", ALL_CODES)
+    def test_follower(self, code):
+        rng = random.Random(code)
+        for trial in range(25):
+            inst = _negative_ids(
+                gen_random_intervals(rng.randint(0, 9), 12, 0.4, 3, seed=trial),
+                rng,
+            )
+            action = random_leader_action(rng, inst)
+            want = reference_reaction(inst, action, V(code), False)
+            got = brute_follower(inst, action, V(code))
+            assert tuple(sorted(got)) == want
+
+    @pytest.mark.parametrize("setting", [OPT, PES], ids=["o", "p"])
+    def test_bisel(self, setting):
+        variant = Variant(Objective.SUM, Objective.SUM, setting)
+        rng = random.Random(setting.value)
+        for trial in range(25):
+            inst = _negative_ids(
+                gen_random_intervals(rng.randint(0, 9), 12, 0.5, 3, seed=trial),
                 rng,
             )
             want = reference_optimum(inst, variant, False)

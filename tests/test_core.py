@@ -141,6 +141,18 @@ class TestAdjacencyBits:
             for v in graph.ids:
                 assert graph.adjacency_bits[v] == _bits_of(graph.adjacency[v])
 
+    def test_weight_tuples_agree_with_vertices_on_random_graphs(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            graph = gen_random_graph(
+                rng.randint(0, 40), rng.uniform(0.0, 0.6), 0.4, 9,
+                bipartite=seed % 2 == 0, seed=seed,
+            )
+            assert len(graph.wl) == len(graph.wf) == len(graph)
+            for v in graph.ids:
+                assert graph.wl[v] == graph.vertices[v].wl
+                assert graph.wf[v] == graph.vertices[v].wf
+
     def test_agrees_with_overlaps_on_non_dense_interval_ids(self):
         # Vertex p of the interval graph is the p-th smallest id, so its
         # bit q is set exactly when the p-th and q-th intervals overlap.

@@ -498,6 +498,21 @@ class TestCli:
             "--output", str(tmp_path / "x.json"),
         ) == 2
 
+    @pytest.mark.parametrize("kind, extra, option", [
+        ("graph", ["--coord-max", "5"], "--coord-max"),
+        ("intervals", ["--edge-prob", "0.9"], "--edge-prob"),
+        ("intervals", ["--bipartite"], "--bipartite"),
+    ], ids=["graph-coord-max", "intervals-edge-prob", "intervals-bipartite"])
+    def test_gen_rejects_an_option_of_the_other_kind(
+        self, tmp_path, capsys, kind, extra, option
+    ):
+        out = tmp_path / "x.json"
+        assert run_cli("gen", kind, "--n", "3", *extra, "--output", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: gen {kind} takes no {option}\n"
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command, doc", [
     (["solve", "--variant", "cs-ds-o"], intervals_to_dict(i1())),
